@@ -60,6 +60,7 @@ from .time_optimal import (
     propagate_law,
     switching_propagator,
     synthesis_law,
+    synthesis_sweep,
     t_alpha,
 )
 

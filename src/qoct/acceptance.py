@@ -8,6 +8,7 @@ tolerances) for a quick smoke run.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -50,14 +51,9 @@ class CriterionResult:
     detail: str
 
 
-_M3_CACHE: dict[tuple[float, float], float] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def solved_m3(alpha: float, tol: float = 1e-8) -> float:
-    key = (alpha, tol)
-    if key not in _M3_CACHE:
-        _M3_CACHE[key] = solve_m3(alpha, tol)
-    return _M3_CACHE[key]
+    return solve_m3(alpha, tol)
 
 
 def _first_v1_zero(alpha: float, m3: float) -> float:

@@ -8,13 +8,12 @@ Exit codes: 0 on success, 2 on a domain error, 3 on verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from . import acceptance, min_energy, time_optimal
+from . import acceptance, min_energy
 from .errors import QoctError
 from .integrator import first_exit, integrate
 from .lift import ComplexState, LevelSpec, lift_controls, simulate_complex
@@ -27,8 +26,8 @@ from .min_energy import (
     transfer_time,
 )
 from .oracle import sample_search_min_time
-from .so3 import SOURCE, StateS2, generator, rodrigues_exp
-from .time_optimal import min_time_law, propagate_law, synthesis_law
+from .so3 import SOURCE, StateS2
+from .time_optimal import min_time_law, propagate_law, synthesis_law, synthesis_sweep
 
 SCHEMA_COMMENT = "# schema=qoct-v1"
 
@@ -57,7 +56,7 @@ def _to_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, int):
         return str(obj)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -129,76 +128,20 @@ def _cmd_min_energy(args) -> int:
     return 0
 
 
-def _time_sweep_rows(alpha: float, n: int, samples: int):
+def _time_sweep(alpha: float, n: int, samples: int):
     """Sample the time synthesis: laws across the families, run to octant exit."""
-    fams = time_optimal._families(alpha)
-    if alpha > 1.0:
-        # the first family is only extremal-to-exit past the switching curve;
-        # shorter equator prefixes belong to the three-arc family
-        fams[0] = dataclasses.replace(fams[0], a_lo=math.acos(1.0 / alpha))
-    spans = [(f, f.a_hi - f.a_lo) for f in fams if f.a_hi > f.a_lo]
-    total = sum(s for _, s in spans)
-    rows = []
-    for i in range(n):
-        p = (i + 0.5) / n * total
-        offset = 0.0
-        for fam, span in spans:
-            if p <= span or (fam, span) == spans[-1]:
-                a = fam.a_lo + min(p, span)
-                break
-            p -= span
-            offset += span
-        param = offset + (a - fam.a_lo)
-        segs = list(fam.prefix) + [time_optimal.Segment(*fam.first, a)] + list(fam.mid)
-        law0 = time_optimal.ControlLaw(tuple(segs), alpha)
-        start = propagate_law(SOURCE, law0).endpoint
-        # run the final arc to the octant exit
-        fn_dur = _arc_exit_time(start, fam.final, alpha)
-        segs.append(time_optimal.Segment(*fam.final, fn_dur))
-        law = time_optimal.ControlLaw(tuple(s for s in segs if s.duration > 1e-12), alpha)
-        traj = propagate_law(SOURCE, law, max_step=max(law.total_duration / samples, 1e-9))
-        for s in traj.samples:
-            rows.append((s.t, s.state[0], s.state[1], s.state[2], s.u1, s.u2, param))
-    return rows
+    return [
+        (param, propagate_law(SOURCE, law, max_step=max(law.total_duration / samples, 1e-9)))
+        for param, law in synthesis_sweep(alpha, n)
+    ]
 
 
-def _arc_exit_time(start, control, alpha: float) -> float:
-    """First time a coordinate of the arc from ``start`` crosses zero downward."""
-    g = generator(*control, alpha)
-    period = 2.0 * math.pi / g.rate
-    n_scan = 720
-    prev = np.asarray(start, dtype=float)
-    prev_t = 0.0
-    for i in range(1, n_scan + 1):
-        t = period * i / n_scan
-        state = rodrigues_exp(g, t).apply_array(np.asarray(start, dtype=float))
-        hit = None
-        for idx in range(3):
-            if prev[idx] > 1e-12 and state[idx] < -1e-12:
-                hit = idx
-                break
-        if hit is not None:
-            lo, hi = prev_t, t
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if rodrigues_exp(g, mid).apply_array(np.asarray(start, float))[hit] > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        prev, prev_t = state, t
-    return period
-
-
-def _energy_sweep_rows(alpha: float, n: int, samples: int, h: float = 2e-3):
+def _energy_sweep(alpha: float, n: int, samples: int, h: float = 2e-3):
     """Sample the energy synthesis: extremals over a spread of m3(0) values."""
     m3_star = solve_m3(alpha, 1e-7)
-    values = []
+    out = []
     for i in range(n):
-        frac = (i + 0.5) / n
-        values.append(m3_star * math.exp(3.0 * (2.0 * frac - 1.0)))
-    rows = []
-    for m3 in values:
+        m3 = m3_star * math.exp(3.0 * (2.0 * ((i + 0.5) / n) - 1.0))
         e = EnergyExtremal(alpha, m3)
         ctrl = extremal_control(e)
         _, t_exit, _ = first_exit(SOURCE, ctrl, alpha, min_energy._horizon(e), h)
@@ -210,19 +153,20 @@ def _energy_sweep_rows(alpha: float, n: int, samples: int, h: float = 2e-3):
             h,
             record_every=max(1, math.ceil(t_exit / h / samples)),
         )
-        for s in traj.samples:
-            rows.append((s.t, s.state[0], s.state[1], s.state[2], s.u1, s.u2, m3))
-    return rows
+        out.append((m3, traj))
+    return out
 
 
 def _cmd_sweep_synthesis(args) -> int:
     _require_alpha(args.alpha)
     if args.n < 1:
         raise QoctError("need --n >= 1")
-    if args.mode == "time":
-        rows = _time_sweep_rows(args.alpha, args.n, args.samples)
-    else:
-        rows = _energy_sweep_rows(args.alpha, args.n, args.samples)
+    sweep = _time_sweep if args.mode == "time" else _energy_sweep
+    rows = [
+        (s.t, s.state[0], s.state[1], s.state[2], s.u1, s.u2, param)
+        for param, traj in sweep(args.alpha, args.n, args.samples)
+        for s in traj.samples
+    ]
     _write(_csv(["t", "psi1", "psi2", "psi3", "u1", "u2", "param"], rows), args.out)
     return 0
 

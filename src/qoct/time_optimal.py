@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -472,3 +472,62 @@ def synthesis_law(
             f"no synthesis family reaches target {target.as_tuple()} at alpha={alpha}"
         )
     return best
+
+
+def _arc_coeffs(g: SkewGenerator, p: np.ndarray):
+    """(w, A, B, C) with exp(tG) p = A + B*cos(w t) + C*sin(w t) for vectors A, B, C."""
+    w = g.rate
+    gp = g.apply(p)
+    ggp = g.apply(gp) / (w * w)
+    return w, p + ggp, -ggp, gp / w
+
+
+def _arc_exit_time(start: np.ndarray, g: SkewGenerator) -> float:
+    """Earliest time the arc of g from ``start`` crosses a coordinate plane downward.
+
+    Only components that dip below -ARC_EXIT_DIP count; without one the arc
+    stays in the octant and its full period is returned.
+    """
+    w, A, B, C = _arc_coeffs(g, start)
+    period = 2.0 * math.pi / w
+    exit_time = period
+    for a0, b, c in zip(A, B, C):
+        r = math.hypot(b, c)
+        if a0 - r >= -tol.ARC_EXIT_DIP:
+            continue
+        # a0 + r*cos(w t - phase) falls through zero at w t - phase = acos(-a0/r)
+        angle = math.atan2(c, b) + math.acos(min(1.0, -a0 / r))
+        exit_time = min(exit_time, angle % (2.0 * math.pi) / w)
+    return exit_time
+
+
+def synthesis_sweep(alpha: float, n: int) -> list[tuple[float, ControlLaw]]:
+    """(parameter, law) pairs for n laws spread evenly over the synthesis families.
+
+    The families' first-switch ranges are laid end to end; law i starts at
+    the midpoint of the i-th of n equal slices, the parameter is its position
+    in the combined range, and its final arc is held until the octant exit.
+    """
+    if not (alpha > 0.0 and math.isfinite(alpha)) or n < 1:
+        raise DomainError("need a positive finite nonisotropy factor and n >= 1")
+    fams = _families(alpha)
+    if alpha > 1.0:
+        # the first family is only extremal-to-exit past the switching curve;
+        # shorter equator prefixes belong to the three-arc family
+        fams[0] = replace(fams[0], a_lo=math.acos(1.0 / alpha))
+    spans = [(f, f.a_hi - f.a_lo) for f in fams if f.a_hi > f.a_lo]
+    total = sum(s for _, s in spans)
+    out = []
+    for i in range(n):
+        p, offset = (i + 0.5) / n * total, 0.0
+        for k, (fam, span) in enumerate(spans):
+            if p <= span or k == len(spans) - 1:
+                break
+            p -= span
+            offset += span
+        a = fam.a_lo + min(p, span)
+        segs = fam.prefix + (Segment(*fam.first, a),) + fam.mid
+        start = _state_after(segs, alpha, SOURCE.as_array())
+        final = Segment(*fam.final, _arc_exit_time(start, generator(*fam.final, alpha)))
+        out.append((offset + (a - fam.a_lo), ControlLaw(_trim(segs + (final,)), alpha)))
+    return out

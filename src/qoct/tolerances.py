@@ -39,6 +39,9 @@ SYNTHESIS_ENDPOINT = 1e-10
 SYNTHESIS_ACCEPT = 1e-9
 BRACKET_MIN = 1e-14
 
+# a coordinate must dip below -ARC_EXIT_DIP along an arc to count as an exit
+ARC_EXIT_DIP = 1e-12
+
 # event location: boundary-crossing time resolved to this width
 EXIT_TIME_BISECT = 1e-11
 

@@ -32,6 +32,13 @@ def test_min_time_with_target(capsys):
     assert abs(doc["total_time"] - math.pi / 2.0) < 1e-12
 
 
+def test_min_time_readme_target(capsys):
+    target = [0.1, 0.7, 0.7071067811865476]
+    rc, out = run_cli(["min-time", "--alpha", "0.5", "--target", "0.1,0.7,0.7071067811865476"], capsys)
+    assert rc == 0
+    assert np.linalg.norm(np.array(json.loads(out)["endpoint"]) - target) < 1e-9
+
+
 def test_min_time_domain_error_exit_code(capsys):
     assert main(["min-time", "--alpha", "0"]) == 2
 
@@ -87,6 +94,13 @@ def test_oracle_json(capsys):
     doc = json.loads(out)
     assert doc["margin"] == doc["best_time"] - doc["closed_form_time"]
     assert doc["margin"] >= -5e-3
+
+
+def test_oracle_json_without_hit_is_valid(capsys):
+    rc, out = run_cli(["oracle", "--alpha", "0.7", "--n", "200", "--seed", "1"], capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["best_time"] is None and doc["margin"] is None
 
 
 def test_lift_json(capsys, tmp_path):

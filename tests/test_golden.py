@@ -1,0 +1,49 @@
+"""Regression of the time synthesis against output recorded before the sweep
+moved into ``time_optimal`` and its octant exit became closed form.
+
+``tests/data`` holds ``sweep-synthesis --mode time --n 4 --samples 10`` CSVs at
+alpha in {0.3, 1, 3} and ``min-time --target`` JSON for targets in every
+synthesis family, including the three-arc family above one.  Controls, row
+counts and sweep parameters must match exactly; every other number to 1e-13.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from qoct.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+CLOSE = 1e-13
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "1", "3"])
+def test_time_sweep_matches_golden(alpha, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-synthesis", "--alpha", alpha, "--mode", "time", "--n", "4",
+                 "--samples", "10", "--out", str(out)]) == 0
+    golden = DATA / f"sweep_time_alpha{alpha}.csv"
+    assert out.read_text().splitlines()[:2] == golden.read_text().splitlines()[:2]
+    got = np.genfromtxt(out, delimiter=",", skip_header=2)
+    ref = np.genfromtxt(golden, delimiter=",", skip_header=2)
+    assert got.shape == ref.shape
+    assert np.array_equal(got[:, 4:], ref[:, 4:])  # u1, u2, param
+    assert np.max(np.abs(got[:, :4] - ref[:, :4])) <= CLOSE
+
+
+def _min_time_cases():
+    return json.loads((DATA / "min_time_targets.json").read_text())
+
+
+@pytest.mark.parametrize("case", _min_time_cases(), ids=lambda c: f"{c['argv'][2]}:{c['argv'][4]}")
+def test_min_time_target_matches_golden(case, capsys):
+    assert main(case["argv"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    ref = case["output"]
+    assert [(s["u1"], s["u2"]) for s in got["law"]] == [(s["u1"], s["u2"]) for s in ref["law"]]
+    for a, b in zip(got["law"], ref["law"]):
+        assert abs(a["duration"] - b["duration"]) <= CLOSE
+    assert abs(got["total_time"] - ref["total_time"]) <= CLOSE
+    assert np.max(np.abs(np.subtract(got["endpoint"], ref["endpoint"]))) <= CLOSE

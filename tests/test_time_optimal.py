@@ -24,6 +24,7 @@ from qoct import (
     propagate_law,
     switching_propagator,
     synthesis_law,
+    synthesis_sweep,
     t_alpha,
 )
 from qoct.time_optimal import law_state
@@ -237,6 +238,24 @@ def test_synthesis_psi1_boundary_flag():
 def test_synthesis_rejects_outside_octant():
     with pytest.raises(DomainError):
         synthesis_law(1.0, StateS2(-0.6, 0.8, 0.0))
+
+
+def test_synthesis_sweep_runs_each_law_to_octant_exit():
+    for alpha in (0.3, 1.0, 3.0):
+        sweep = synthesis_sweep(alpha, 12)
+        params = [p for p, _ in sweep]
+        assert len(sweep) == 12 and params == sorted(params)
+        for _, law in sweep:
+            states = propagate_law(SOURCE, law, max_step=law.total_duration / 50).states()
+            assert np.min(np.abs(states[-1])) <= 1e-12
+            assert np.min(states[:-1]) >= -1e-12
+
+
+def test_synthesis_sweep_rejects_bad_input():
+    with pytest.raises(DomainError):
+        synthesis_sweep(1.0, 0)
+    with pytest.raises(DomainError):
+        synthesis_sweep(float("nan"), 3)
 
 
 def test_source_returns_empty_law():
