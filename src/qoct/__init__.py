@@ -29,6 +29,7 @@ from .min_energy import (
     classify,
     controls_at,
     energy_cost,
+    energy_sweep,
     exit_face,
     extremal_control,
     m3_bounds,

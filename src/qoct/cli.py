@@ -13,13 +13,13 @@ import sys
 
 import numpy as np
 
-from . import acceptance, min_energy
+from . import acceptance
 from .errors import QoctError
-from .integrator import first_exit, integrate
 from .lift import ComplexState, LevelSpec, lift_controls, simulate_complex
 from .min_energy import (
     EnergyExtremal,
     classify,
+    energy_sweep,
     extremal_control,
     m3_bounds,
     solve_m3,
@@ -136,32 +136,11 @@ def _time_sweep(alpha: float, n: int, samples: int):
     ]
 
 
-def _energy_sweep(alpha: float, n: int, samples: int, h: float = 2e-3):
-    """Sample the energy synthesis: extremals over a spread of m3(0) values."""
-    m3_star = solve_m3(alpha, 1e-7)
-    out = []
-    for i in range(n):
-        m3 = m3_star * math.exp(3.0 * (2.0 * ((i + 0.5) / n) - 1.0))
-        e = EnergyExtremal(alpha, m3)
-        ctrl = extremal_control(e)
-        _, t_exit, _ = first_exit(SOURCE, ctrl, alpha, min_energy._horizon(e), h)
-        traj = integrate(
-            SOURCE,
-            ctrl,
-            alpha,
-            t_exit,
-            h,
-            record_every=max(1, math.ceil(t_exit / h / samples)),
-        )
-        out.append((m3, traj))
-    return out
-
-
 def _cmd_sweep_synthesis(args) -> int:
     _require_alpha(args.alpha)
-    if args.n < 1:
-        raise QoctError("need --n >= 1")
-    sweep = _time_sweep if args.mode == "time" else _energy_sweep
+    if args.n < 1 or args.samples < 1:
+        raise QoctError("need --n >= 1 and --samples >= 1")
+    sweep = _time_sweep if args.mode == "time" else energy_sweep
     rows = [
         (s.t, s.state[0], s.state[1], s.state[2], s.u1, s.u2, param)
         for param, traj in sweep(args.alpha, args.n, args.samples)

@@ -37,6 +37,30 @@ class JacobiTriple:
     dn: float
 
 
+def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """The arithmetic-geometric mean chain of (1, kp), shared by K and jacobi.
+
+    Returns (c, a, b): the means a_i and b_i up to the first pair within
+    AGM_GAP of each other, and c = (a_N + b_N)/2 one step past it.
+    K(k) = pi/(2 a_N) (DLMF 19.8.5); c scales the Landen recurrence.
+    """
+    a, b = 1.0, kp
+    em, en = [], []
+    for _ in range(_MAX_AGM_ITER):
+        em.append(a)
+        en.append(b)
+        if abs(a - b) <= tol.AGM_GAP * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b), tuple(em), tuple(en)
+
+
+@lru_cache(maxsize=256)
+def _landen_chain(k: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """The AGM chain at modulus k, cached by k: jacobi reuses it per modulus."""
+    return _agm(math.sqrt((1.0 - k) * (1.0 + k)))
+
+
 def complete_k(k: float) -> float:
     """Complete elliptic integral K(k) by the arithmetic-geometric mean.
 
@@ -51,13 +75,7 @@ def complete_k(k: float) -> float:
     """
     if not (0.0 <= k < 1.0):
         raise DomainError(f"complete_k requires 0 <= k < 1, got {k!r}")
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    for _ in range(_MAX_AGM_ITER):
-        if abs(a - b) <= tol.AGM_GAP * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _landen_chain(k)[1][-1])
 
 
 def complete_k_comp(kp: float) -> float:
@@ -68,31 +86,7 @@ def complete_k_comp(kp: float) -> float:
     """
     if not (0.0 < kp <= 1.0):
         raise DomainError(f"complete_k_comp requires 0 < kp <= 1, got {kp!r}")
-    a, b = 1.0, kp
-    for _ in range(_MAX_AGM_ITER + 16):
-        if abs(a - b) <= tol.AGM_GAP * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-@lru_cache(maxsize=256)
-def _landen_chain(k: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Descending-modulus chain shared by all arguments at a fixed modulus."""
-    a = 1.0
-    mc = (1.0 - k) * (1.0 + k)
-    em = []
-    en = []
-    for _ in range(_MAX_AGM_ITER):
-        b = math.sqrt(mc)
-        em.append(a)
-        en.append(b)
-        c = 0.5 * (a + b)
-        if abs(a - b) <= tol.AGM_GAP * a:
-            break
-        mc = b * a
-        a = c
-    return c, tuple(em), tuple(en)
+    return math.pi / (2.0 * _agm(kp)[1][-1])
 
 
 def jacobi(u: float, k: float) -> JacobiTriple:

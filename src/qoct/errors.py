@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input guard."""
+
+import math
 
 
 class QoctError(Exception):
@@ -7,6 +9,16 @@ class QoctError(Exception):
 
 class DomainError(QoctError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+def require(name: str, value: float, low: float = 0.0, closed: bool = False) -> None:
+    """Raise DomainError unless value is finite and above low (or equal, if closed).
+
+    Written as a positive test so NaN fails it, unlike ``value <= low``.
+    """
+    if not (math.isfinite(value) and (value >= low if closed else value > low)):
+        bound = f"{'>=' if closed else '>'} {low:g}"
+        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class SingularLocusError(DomainError):

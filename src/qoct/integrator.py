@@ -4,20 +4,23 @@ This is the independent cross-check path: everything it produces can be
 compared against the exact rotation composition of constant-control arcs.
 States are renormalized to the sphere after every step; a large correction
 means a step straddled a control discontinuity, which is reported instead of
-silently degrading the order.
+silently degrading the order.  The same RK4 (``propagate``) also drives the
+complex three-level amplitudes of ``qoct.lift``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, HorizonError, StepError
+from .errors import DomainError, HorizonError, StepError, require
 from .so3 import StateS2
+from .tolerances import RENORM_LIMIT
 
 
 class ExitFace(enum.Enum):
@@ -71,44 +74,85 @@ class Trajectory:
         return self.samples[-1].t - self.samples[0].t
 
 
-def _rhs(x: float, y: float, z: float, u1: float, au2: float):
-    # psi' = u1*F1(psi) + u2*F2(psi) with the alpha weight folded into au2
-    return (-u1 * y, u1 * x - au2 * z, au2 * y)
+def _sphere_rhs(alpha: float):
+    """psi' = u1*F1(psi) + u2*F2(psi), with the alpha weight on F2."""
+
+    def rhs(x, y, z, u1, u2):
+        au2 = alpha * u2
+        return (-u1 * y, u1 * x - au2 * z, au2 * y)
+
+    return rhs
 
 
-def _rk4_step(state, t, h, control, alpha):
-    """One renormalized RK4 step from (t, state); control is t -> (u1, u2)."""
+def _rk4(state, t0, span, h, control, rhs, cut=math.inf, out=None, every=1):
+    """Renormalized RK4 over [t0, t0 + span] in the fewest uniform steps <= h.
+
+    The state is a 3-tuple of floats or complex amplitudes; control is
+    t -> (c1, c2), read at stage times clamped to ``cut``; rhs is
+    (x, y, z, c1, c2) -> derivative.  ``abs(v) * abs(v)`` is v*v exactly for
+    a float and |v|^2 for a complex amplitude.  With ``out``, every
+    ``every``-th step and the last append (t, state).
+    """
+    n = max(1, math.ceil(span / h - 1e-12))
+    h = span / n
+    h2, h6 = 0.5 * h, h / 6.0
     x, y, z = state
-    u1a, u2a = control(t)
-    u1b, u2b = control(t + 0.5 * h)
-    u1c, u2c = control(t + h)
-    aa, ab, ac = alpha * u2a, alpha * u2b, alpha * u2c
+    t = t0
+    for i in range(n):
+        tm, te = t + h2, t + h
+        c1a, c2a = control(t if t < cut else cut)
+        c1b, c2b = control(tm if tm < cut else cut)
+        c1c, c2c = control(te if te < cut else cut)
+        k1x, k1y, k1z = rhs(x, y, z, c1a, c2a)
+        k2x, k2y, k2z = rhs(x + h2 * k1x, y + h2 * k1y, z + h2 * k1z, c1b, c2b)
+        k3x, k3y, k3z = rhs(x + h2 * k2x, y + h2 * k2y, z + h2 * k2z, c1b, c2b)
+        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z, c1c, c2c)
+        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z = z + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
 
-    k1 = _rhs(x, y, z, u1a, aa)
-    k2 = _rhs(
-        x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], z + 0.5 * h * k1[2], u1b, ab
-    )
-    k3 = _rhs(
-        x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], z + 0.5 * h * k2[2], u1b, ab
-    )
-    k4 = _rhs(x + h * k3[0], y + h * k3[1], z + h * k3[2], u1c, ac)
-
-    nx = x + h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-    ny = y + h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-    nz = z + h / 6.0 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if abs(norm - 1.0) > tol.RENORM_LIMIT:
-        raise StepError(
-            f"renormalization correction {abs(norm - 1.0):.3e} at t={t + h:.6g}; "
-            "align steps with the control switching times"
-        )
-    return (nx / norm, ny / norm, nz / norm)
+        ax, ay, az = abs(x), abs(y), abs(z)
+        norm = math.sqrt(ax * ax + ay * ay + az * az)
+        if not abs(norm - 1.0) <= RENORM_LIMIT:  # NaN fails too
+            raise StepError(
+                f"renormalization correction {abs(norm - 1.0):.3e} at t={te:.6g}; "
+                "align steps with the control switching times"
+            )
+        x, y, z = x / norm, y / norm, z / norm
+        t = t0 + (i + 1) * h
+        if out is not None and ((i + 1) % every == 0 or i == n - 1):
+            out.append((t, (x, y, z)))
+    return (x, y, z)
 
 
-def _subintervals(T: float, switch_times) -> list[tuple[float, float]]:
+def propagate(state, control, rhs, T: float, h: float, switch_times=(), record_every=1):
+    """Renormalized RK4 from (0, state) to T; steps never straddle a switch.
+
+    Args:
+        state: initial 3-tuple of floats or complex amplitudes, unit norm.
+        control: callable t -> (c1, c2); piecewise smooth.
+        rhs: callable (x, y, z, c1, c2) -> the state derivative.
+        T: final time (>= 0).
+        h: nominal step; each subinterval between switch times uses the
+            largest uniform step not exceeding h.
+        switch_times: interior discontinuity times.
+        record_every: thin the records (subinterval ends always kept).
+
+    Returns:
+        List of (t, state) records, starting with (0, state).
+    """
+    require("step h", h)
+    require("final time T", T, closed=True)
+    out = [(0.0, state)]
     cuts = sorted({0.0, T, *(s for s in switch_times if 0.0 < s < T)})
-    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        # stage times at the right endpoint are nudged strictly inside the
+        # subinterval so piecewise-constant controls are read on the left
+        # side of the switch; the nudge is far below the step error
+        cut = t1 - max((t1 - t0) * 1e-10, 8.0 * sys.float_info.epsilon * abs(t1))
+        state = _rk4(state, t0, t1 - t0, h, control, rhs, cut, out, record_every)
+        out[-1] = (min(out[-1][0], t1), state)  # t0 + n*h may round past t1
+    return out
 
 
 def integrate(
@@ -127,21 +171,13 @@ def integrate(
         psi0: initial unit state.
         control: callable t -> (u1, u2); piecewise smooth.
         alpha: nonisotropy factor (> 0).
-        T: final time (>= 0).
-        h: nominal step; each subinterval between switch times uses the
-            largest uniform step not exceeding h.
-        switch_times: interior discontinuity times; steps never straddle one.
-        record_every: thin the stored samples (boundaries always kept).
+        T, h, switch_times, record_every: as for ``propagate``.
         monitors: optional dict name -> fn(t, state_tuple, u1, u2).
 
     Returns:
         Trajectory sampled on the step grid.
     """
-    if h <= 0.0 or T < 0.0:
-        raise DomainError("integrate requires h > 0 and T >= 0")
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
-
+    require("nonisotropy factor", alpha)
     monitors = monitors or {}
 
     def sample(t, state):
@@ -149,31 +185,10 @@ def integrate(
         mon = {name: fn(t, state, u1, u2) for name, fn in monitors.items()}
         return TrajectorySample(t, np.array(state), u1, u2, mon)
 
-    state = psi0.as_tuple()
-    out = [sample(0.0, state)]
-    if T == 0.0:
-        return Trajectory(tuple(out))
-
-    for t0, t1 in _subintervals(T, switch_times):
-        n = max(1, math.ceil((t1 - t0) / h - 1e-12))
-        hh = (t1 - t0) / n
-        # stage times at the right endpoint are nudged strictly inside the
-        # subinterval so piecewise-constant controls are read on the left
-        # side of the switch; the nudge is far below the step error
-        delta = max((t1 - t0) * 1e-10, 8.0 * np.finfo(float).eps * abs(t1))
-        cutoff = t1 - delta
-
-        def seg_control(t, _c=control, _cut=cutoff):
-            return _c(t if t < _cut else _cut)
-
-        t = t0
-        for i in range(n):
-            state = _rk4_step(state, t, hh, seg_control, alpha)
-            t = t0 + (i + 1) * hh
-            if (i + 1) % record_every == 0 or i == n - 1:
-                out.append(sample(min(t, t1), state))
-
-    return Trajectory(tuple(out))
+    records = propagate(
+        psi0.as_tuple(), control, _sphere_rhs(alpha), T, h, switch_times, record_every
+    )
+    return Trajectory(tuple(sample(t, state) for t, state in records))
 
 
 def first_exit(
@@ -192,17 +207,10 @@ def first_exit(
     Returns:
         (face, exit time, state at the exit time).
     """
-    if h <= 0.0 or horizon <= 0.0:
-        raise DomainError("first_exit requires h > 0 and horizon > 0")
-
-    def advance(state, t, dt):
-        # split long spans so single-step accuracy never degrades
-        n = max(1, math.ceil(dt / h - 1e-12))
-        dd = dt / n
-        for i in range(n):
-            state = _rk4_step(state, t + i * dd, dd, control, alpha)
-        return state
-
+    require("nonisotropy factor", alpha)
+    require("step h", h)
+    require("horizon", horizon)
+    rhs = _sphere_rhs(alpha)
     state = psi0.as_tuple()
     t = 0.0
     n = math.ceil(horizon / h)
@@ -214,7 +222,7 @@ def first_exit(
     if state[1] > 0.0:
         last_pos[1] = (0.0, state)
     for _ in range(n):
-        state = advance(state, t, hh)
+        state = _rk4(state, t, hh, h, control, rhs)
         t += hh
         crossings = []
         for idx, face in ((0, ExitFace.PSI1), (1, ExitFace.PSI2)):
@@ -225,7 +233,7 @@ def first_exit(
                 hi_t = t
                 while hi_t - lo_t > tol.EXIT_TIME_BISECT:
                     mid_t = 0.5 * (lo_t + hi_t)
-                    mid_state = advance(lo_state, lo_t, mid_t - lo_t)
+                    mid_state = _rk4(lo_state, lo_t, mid_t - lo_t, h, control, rhs)
                     if mid_state[idx] > 0.0:
                         lo_t, lo_state = mid_t, mid_state
                     else:

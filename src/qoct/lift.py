@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
-from .errors import ConsistencyError, DomainError
-from .integrator import Trajectory, TrajectorySample
+from .errors import ConsistencyError, DomainError, require
+from .integrator import Trajectory, TrajectorySample, propagate
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,17 @@ def lift_controls(u1, u2, spec: LevelSpec):
     return f1, f2
 
 
-def _schrodinger_rhs(a1, a2, a3, e1, e2, e3, f1, f2, alpha):
-    # i * da/dt = H a  with couplings f1 and alpha*f2 on the off-diagonals
-    d1 = -1j * (e1 * a1 + f1 * a2)
-    d2 = -1j * (f1.conjugate() * a1 + e2 * a2 + alpha * f2 * a3)
-    d3 = -1j * (alpha * f2.conjugate() * a2 + e3 * a3)
-    return d1, d2, d3
+def _schrodinger_rhs(spec: LevelSpec, alpha: float):
+    """i * da/dt = H a, with couplings f1 and alpha*f2 on the off-diagonals."""
+    e1, e2, e3 = spec.e1, spec.e2, spec.e3
+
+    def rhs(a1, a2, a3, f1, f2):
+        d1 = -1j * (e1 * a1 + f1 * a2)
+        d2 = -1j * (f1.conjugate() * a1 + e2 * a2 + alpha * f2 * a3)
+        d3 = -1j * (alpha * f2.conjugate() * a2 + e3 * a3)
+        return d1, d2, d3
+
+    return rhs
 
 
 def simulate_complex(
@@ -93,71 +97,30 @@ def simulate_complex(
 ) -> Trajectory:
     """RK4 integration of the driven three-level Schroedinger equation.
 
-    The norm is rescaled to one after every step; steps never straddle a
-    control switching time passed in ``switch_times``.
+    The same renormalized RK4 as ``integrate``: the norm is rescaled to one
+    after every step, and steps never straddle a control switching time
+    passed in ``switch_times``.  Samples record |f1(t)| and |f2(t)|.
 
     Returns:
         Trajectory of complex state samples; the final population of level
         three is ``abs(traj.endpoint[2])**2``.
     """
-    if h <= 0.0 or T < 0.0:
-        raise DomainError("simulate_complex requires h > 0 and T >= 0")
-    e1, e2, e3 = spec.e1, spec.e2, spec.e3
-
-    a1, a2, a3 = (complex(z) for z in psi0.amplitudes)
-    out = [TrajectorySample(0.0, np.array([a1, a2, a3]), abs(f1(0.0)), abs(f2(0.0)))]
-    if T == 0.0:
-        return Trajectory(tuple(out))
-
-    cuts = sorted({0.0, T, *(s for s in switch_times if 0.0 < s < T)})
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        n = max(1, math.ceil((t1 - t0) / h - 1e-12))
-        hh = (t1 - t0) / n
-        delta = max((t1 - t0) * 1e-10, 8.0 * np.finfo(float).eps * abs(t1))
-        cut = t1 - delta
-        t = t0
-        for i in range(n):
-            ta = t if t < cut else cut
-            tm = t + 0.5 * hh
-            tm = tm if tm < cut else cut
-            tb = t + hh
-            tb = tb if tb < cut else cut
-            fa1, fa2 = f1(ta), f2(ta)
-            fm1, fm2 = f1(tm), f2(tm)
-            fb1, fb2 = f1(tb), f2(tb)
-
-            k1 = _schrodinger_rhs(a1, a2, a3, e1, e2, e3, fa1, fa2, alpha)
-            k2 = _schrodinger_rhs(
-                a1 + 0.5 * hh * k1[0],
-                a2 + 0.5 * hh * k1[1],
-                a3 + 0.5 * hh * k1[2],
-                e1, e2, e3, fm1, fm2, alpha,
-            )
-            k3 = _schrodinger_rhs(
-                a1 + 0.5 * hh * k2[0],
-                a2 + 0.5 * hh * k2[1],
-                a3 + 0.5 * hh * k2[2],
-                e1, e2, e3, fm1, fm2, alpha,
-            )
-            k4 = _schrodinger_rhs(
-                a1 + hh * k3[0],
-                a2 + hh * k3[1],
-                a3 + hh * k3[2],
-                e1, e2, e3, fb1, fb2, alpha,
-            )
-            a1 = a1 + hh / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            a2 = a2 + hh / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            a3 = a3 + hh / 6.0 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-            norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
-            a1, a2, a3 = a1 / norm, a2 / norm, a3 / norm
-            t = t0 + (i + 1) * hh
-            if (i + 1) % record_every == 0 or i == n - 1:
-                out.append(
-                    TrajectorySample(
-                        min(t, t1), np.array([a1, a2, a3]), abs(f1(ta)), abs(f2(ta))
-                    )
-                )
-    return Trajectory(tuple(out))
+    require("nonisotropy factor", alpha)
+    records = propagate(
+        tuple(complex(z) for z in psi0.amplitudes),
+        lambda t: (f1(t), f2(t)),
+        _schrodinger_rhs(spec, alpha),
+        T,
+        h,
+        switch_times,
+        record_every,
+    )
+    return Trajectory(
+        tuple(
+            TrajectorySample(t, np.array(state), abs(f1(t)), abs(f2(t)))
+            for t, state in records
+        )
+    )
 
 
 def interaction_picture(traj: Trajectory, spec: LevelSpec) -> Trajectory:

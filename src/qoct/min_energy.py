@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .elliptic import complete_k_comp, jacobi, jacobi_derived
-from .errors import BracketError, DomainError, RegimeError
-from .integrator import ExitFace, first_exit, integrate
+from .errors import BracketError, DomainError, RegimeError, require
+from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .oracle import quadrature
 from .so3 import SOURCE
 
@@ -45,10 +45,8 @@ def classify(alpha: float, m3_0: float) -> Regime:
     the target-reaching parameter sits an exponentially small distance above
     the critical value, so any wider window would swallow it.
     """
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
-    if m3_0 < 0.0:
-        raise DomainError("the shooting parameter must be >= 0")
+    require("nonisotropy factor", alpha)
+    require("shooting parameter", m3_0, closed=True)
     if m3_0 == 0.0:
         return Regime.ZERO
     if alpha > 1.0:
@@ -228,8 +226,7 @@ def transfer_time(alpha: float, m3_0: float) -> float:
 
 def m3_bounds(alpha: float) -> tuple[float, float]:
     """A priori bracket (lower exclusive, upper inclusive) for the solved m3(0)."""
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
+    require("nonisotropy factor", alpha)
     if alpha <= 1.0:
         lower = math.sqrt(1.0 - alpha * alpha) / alpha
         upper = math.sqrt(4.0 / (3.0 * alpha * alpha) - 1.0)
@@ -326,8 +323,8 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
     Raises:
         BracketError: when the a priori bounds do not straddle the solution.
     """
-    if tol_m3 <= 0.0:
-        raise DomainError("tolerance must be positive")
+    require("tolerance", tol_m3)
+    require("step h", h)
     lo_bound, hi_bound = m3_bounds(alpha)
     floor = lo_bound
     eps = float(np.finfo(float).eps)
@@ -437,3 +434,28 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
         if width(x_lo, x_hi) < 4.0 * eps * max(floor, 1.0):
             break
     return finish()
+
+
+def energy_sweep(alpha: float, n: int, samples: int) -> list[tuple[float, Trajectory]]:
+    """Extremals from the source over a spread of m3(0), run to octant exit.
+
+    The n shooting parameters are spread log-uniformly over a factor e^3 on
+    either side of the solved one; each trajectory is integrated to its first
+    boundary crossing and holds about ``samples`` samples.
+
+    Returns:
+        (m3(0), trajectory) pairs in increasing m3(0).
+    """
+    if n < 1 or samples < 1:
+        raise DomainError("energy_sweep needs n >= 1 and samples >= 1")
+    h = 2e-3
+    m3_star = solve_m3(alpha, 1e-7)
+    out = []
+    for i in range(n):
+        m3 = m3_star * math.exp(3.0 * (2.0 * ((i + 0.5) / n) - 1.0))
+        e = EnergyExtremal(alpha, m3)
+        ctrl = extremal_control(e)
+        _, t_exit, _ = first_exit(SOURCE, ctrl, alpha, _horizon(e), h)
+        every = max(1, math.ceil(t_exit / h / samples))
+        out.append((m3, integrate(SOURCE, ctrl, alpha, t_exit, h, record_every=every)))
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureDepthError
+from .errors import DomainError, QuadratureDepthError, require
 
 _M64 = (1 << 64) - 1
 
@@ -213,8 +213,7 @@ def sample_search_min_time(
     """
     if n_candidates < 1 or max_segments < 1:
         raise DomainError("need at least one candidate and one segment")
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
+    require("nonisotropy factor", alpha)
     rng = Splitmix64(seed)
     d_max = max_duration if max_duration is not None else math.pi * max(1.0, 1.0 / alpha)
     z_min = 1.0 - 0.5 * target_radius * target_radius

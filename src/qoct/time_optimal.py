@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, NoSolutionError, SingularLocusError
+from .errors import DomainError, NoSolutionError, SingularLocusError, require
 from .integrator import Trajectory, TrajectorySample
 from .so3 import SOURCE, SkewGenerator, StateS2, generator, rodrigues_exp
 
@@ -178,8 +178,7 @@ def switching_propagator(u1: float, u2: float, alpha: float, t: float) -> np.nda
 def t_alpha(alpha: float) -> float:
     """Duration for which the double-bang arc (+1,+1) from the source stays
     extremal."""
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
+    require("nonisotropy factor", alpha)
     if alpha <= 1.0:
         return math.acos(-alpha * alpha) / math.sqrt(1.0 + alpha * alpha)
     return math.acos(-1.0 / (alpha * alpha)) / math.sqrt(1.0 + alpha * alpha)
@@ -197,8 +196,7 @@ def min_time_law(alpha: float) -> ControlLaw:
     single double bang.  Above one: a singular arc (+1,0) along the equator,
     then the double bang.
     """
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
+    require("nonisotropy factor", alpha)
     if _is_isotropic(alpha):
         return ControlLaw((Segment(1.0, 1.0, math.pi / math.sqrt(2.0)),), alpha)
     if alpha < 1.0:
@@ -440,8 +438,7 @@ def synthesis_law(
     Raises:
         NoSolutionError: when no family produces the target.
     """
-    if alpha <= 0.0:
-        raise DomainError("nonisotropy factor must be positive")
+    require("nonisotropy factor", alpha)
     if not target.in_octant():
         raise DomainError("target must lie in the closed positive octant")
     tgt = target.as_array()
@@ -508,8 +505,9 @@ def synthesis_sweep(alpha: float, n: int) -> list[tuple[float, ControlLaw]]:
     the midpoint of the i-th of n equal slices, the parameter is its position
     in the combined range, and its final arc is held until the octant exit.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)) or n < 1:
-        raise DomainError("need a positive finite nonisotropy factor and n >= 1")
+    require("nonisotropy factor", alpha)
+    if n < 1:
+        raise DomainError("synthesis_sweep needs n >= 1")
     fams = _families(alpha)
     if alpha > 1.0:
         # the first family is only extremal-to-exit past the switching curve;

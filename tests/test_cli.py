@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import qoct.acceptance
 from qoct.acceptance import CriterionResult
@@ -41,6 +42,13 @@ def test_min_time_readme_target(capsys):
 
 def test_min_time_domain_error_exit_code(capsys):
     assert main(["min-time", "--alpha", "0"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["time", "energy"])
+def test_sweep_synthesis_rejects_zero_samples(mode, capsys):
+    # --samples 0 used to divide by zero instead of exiting with a domain error
+    argv = ["sweep-synthesis", "--alpha", "1", "--mode", mode, "--n", "2", "--samples", "0"]
+    assert main(argv) == 2
 
 
 def test_min_time_unreachable_target_exit_code(capsys):

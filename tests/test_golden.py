@@ -1,10 +1,17 @@
-"""Regression of the time synthesis against output recorded before the sweep
-moved into ``time_optimal`` and its octant exit became closed form.
+"""Regression of the CLI against output recorded before refactors.
 
 ``tests/data`` holds ``sweep-synthesis --mode time --n 4 --samples 10`` CSVs at
 alpha in {0.3, 1, 3} and ``min-time --target`` JSON for targets in every
-synthesis family, including the three-arc family above one.  Controls, row
-counts and sweep parameters must match exactly; every other number to 1e-13.
+synthesis family, including the three-arc family above one, recorded before
+the time sweep moved into ``time_optimal`` and its octant exit became closed
+form.  Controls, row counts and sweep parameters must match exactly; every
+other number to 1e-13.
+
+It also holds ``min-energy`` JSON at alpha 0.5 and 2, an energy
+``sweep-synthesis --n 4 --samples 10`` CSV at alpha 2 and a time-mode
+``lift`` population history at alpha 0.7, recorded before the complex lift
+and the sphere shared one RK4 and K and the Jacobi functions one AGM chain.
+The first three must match byte for byte; the lift to 1e-14.
 """
 
 import json
@@ -47,3 +54,31 @@ def test_min_time_target_matches_golden(case, capsys):
         assert abs(a["duration"] - b["duration"]) <= CLOSE
     assert abs(got["total_time"] - ref["total_time"]) <= CLOSE
     assert np.max(np.abs(np.subtract(got["endpoint"], ref["endpoint"]))) <= CLOSE
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "2"])
+def test_min_energy_matches_golden_bytes(alpha, capsys):
+    assert main(["min-energy", "--alpha", alpha]) == 0
+    assert capsys.readouterr().out == (DATA / f"min_energy_alpha{alpha}.json").read_text()
+
+
+def test_energy_sweep_matches_golden_bytes(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-synthesis", "--mode", "energy", "--n", "4", "--samples", "10",
+                 "--alpha", "2", "--out", str(out)]) == 0
+    assert out.read_text() == (DATA / "sweep_energy_alpha2.csv").read_text()
+
+
+def test_lift_populations_match_golden(tmp_path, capsys):
+    traj = tmp_path / "lift.csv"
+    assert main(["lift", "--alpha", "0.7", "--mode", "time", "--energies=-1,0.3,0.7",
+                 "--phases", "0.3,-1", "--trajectory-out", str(traj)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    ref = json.loads((DATA / "lift_time_alpha0.7.json").read_text())
+    assert abs(got["final_population"] - ref["final_population"]) <= 1e-14
+    golden = DATA / "lift_time_alpha0.7.csv"
+    assert traj.read_text().splitlines()[:2] == golden.read_text().splitlines()[:2]
+    a = np.genfromtxt(traj, delimiter=",", skip_header=2)
+    b = np.genfromtxt(golden, delimiter=",", skip_header=2)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= 1e-14

@@ -122,3 +122,28 @@ def test_integrate_argument_checks():
         integrate(SOURCE, lambda t: (1.0, 0.0), 1.0, 1.0, -1e-3)
     with pytest.raises(DomainError):
         integrate(SOURCE, lambda t: (1.0, 0.0), -1.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"h": math.nan}, {"T": math.inf}, {"T": math.nan}, {"alpha": math.nan}, {"alpha": math.inf}],
+)
+def test_integrate_rejects_non_finite_input(kwargs):
+    args = {"alpha": 1.0, "T": 1.0, "h": 1e-3, **kwargs}
+    with pytest.raises(DomainError):
+        integrate(SOURCE, lambda t: (1.0, 0.0), args["alpha"], args["T"], args["h"])
+
+
+@pytest.mark.parametrize(
+    "alpha,horizon,h",
+    [(1.0, math.inf, 1e-3), (1.0, math.nan, 1e-3), (1.0, 2.0, math.nan), (math.nan, 2.0, 1e-3)],
+)
+def test_first_exit_rejects_non_finite_input(alpha, horizon, h):
+    with pytest.raises(DomainError):
+        first_exit(SOURCE, lambda t: (1.0, 0.0), alpha, horizon, h)
+
+
+def test_step_error_on_nan_control():
+    # a NaN state fails the renormalization check instead of propagating
+    with pytest.raises(StepError):
+        integrate(SOURCE, lambda t: (math.nan, 0.0), 1.0, 1.0, 0.1)

@@ -9,8 +9,10 @@ import pytest
 from qoct import (
     ComplexState,
     ConsistencyError,
+    DomainError,
     LevelSpec,
     SOURCE,
+    StepError,
     interaction_picture,
     lift_controls,
     min_time_law,
@@ -157,3 +159,26 @@ def test_wrong_phases_raise_consistency_error():
     )
     with pytest.raises(ConsistencyError):
         interaction_picture(traj, SPEC)  # phases do not match the drive
+
+
+def test_step_error_on_wild_dynamics():
+    # the complex path applies the same renormalization limit as the sphere
+    with pytest.raises(StepError):
+        simulate_complex(PSI0, lambda t: 1e4, lambda t: 0.0, SPEC, 1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "alpha,T,h",
+    [(1.0, 1.0, math.nan), (1.0, math.inf, 1e-3), (math.nan, 1.0, 1e-3), (-1.0, 1.0, 1e-3)],
+)
+def test_simulate_complex_rejects_bad_input(alpha, T, h):
+    zero = lambda t: 0.0j
+    with pytest.raises(DomainError):
+        simulate_complex(PSI0, zero, zero, SPEC, alpha, T, h)
+
+
+def test_samples_record_pulse_modulus_at_sample_time():
+    ramp = lambda t: 0.1 * t * cmath.exp(2j * t)
+    traj = simulate_complex(PSI0, ramp, ramp, SPEC, 1.0, 1.0, 1e-2, record_every=7)
+    for s in traj.samples:
+        assert s.u1 == abs(ramp(s.t)) and s.u2 == abs(ramp(s.t))

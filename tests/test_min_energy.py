@@ -7,6 +7,7 @@ import pytest
 
 from qoct import (
     BracketError,
+    DomainError,
     EnergyExtremal,
     ExitFace,
     Regime,
@@ -14,6 +15,7 @@ from qoct import (
     classify,
     controls_at,
     energy_cost,
+    energy_sweep,
     exit_face,
     extremal_control,
     integrate,
@@ -205,3 +207,33 @@ def test_solve_rejects_bad_bracket(monkeypatch):
     )
     with pytest.raises(BracketError):
         me.solve_m3(0.5, 1e-6)
+
+
+@pytest.mark.parametrize("alpha,m3", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, -1.0)])
+def test_classify_rejects_bad_input(alpha, m3):
+    with pytest.raises(DomainError):
+        classify(alpha, m3)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+def test_bounds_reject_bad_factor(alpha):
+    with pytest.raises(DomainError):
+        m3_bounds(alpha)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol_m3": math.nan}, {"tol_m3": 0.0}, {"h": math.nan}])
+def test_solve_rejects_bad_tolerance_before_integrating(kwargs):
+    # tol_m3 = nan used to run the whole dichotomy and return the lower bound
+    with pytest.raises(DomainError):
+        solve_m3(0.5, **kwargs)
+
+
+def test_energy_sweep_runs_each_extremal_to_the_boundary():
+    sweep = energy_sweep(2.0, 3, 5)
+    assert [m for m, _ in sweep] == sorted(m for m, _ in sweep)
+    for _, traj in sweep:
+        end = traj.endpoint
+        assert min(end[0], end[1]) < 1e-9
+        assert len(traj.samples) <= 12
+    with pytest.raises(DomainError):
+        energy_sweep(2.0, 0, 5)

@@ -69,3 +69,9 @@ def test_search_argument_checks():
         sample_search_min_time(1.0, 0, 5, seed=1)
     with pytest.raises(DomainError):
         sample_search_min_time(-1.0, 10, 5, seed=1)
+
+
+def test_search_rejects_non_finite_factor():
+    # a NaN factor used to return (inf, None), as if no candidate hit
+    with pytest.raises(DomainError):
+        sample_search_min_time(math.nan, 10, 3, 1)

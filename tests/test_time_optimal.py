@@ -261,3 +261,12 @@ def test_synthesis_sweep_rejects_bad_input():
 def test_source_returns_empty_law():
     law = synthesis_law(1.3, SOURCE)
     assert law.segments == ()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+def test_factor_guard(alpha):
+    for fn in (t_alpha, min_time_law):
+        with pytest.raises(DomainError):
+            fn(alpha)
+    with pytest.raises(DomainError):
+        synthesis_law(alpha, StateS2(0.0, 0.6, 0.8))
