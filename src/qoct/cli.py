@@ -104,7 +104,6 @@ def _parse_triple(text: str) -> tuple[float, float, float]:
 
 
 def _cmd_min_time(args) -> int:
-    _require_alpha(args.alpha)
     if args.target is None:
         law = min_time_law(args.alpha)
     else:
@@ -115,7 +114,6 @@ def _cmd_min_time(args) -> int:
 
 
 def _cmd_min_energy(args) -> int:
-    _require_alpha(args.alpha)
     m3 = solve_m3(args.alpha, args.tol)
     lo, hi = m3_bounds(args.alpha)
     doc = {
@@ -137,7 +135,6 @@ def _time_sweep(alpha: float, n: int, samples: int):
 
 
 def _cmd_sweep_synthesis(args) -> int:
-    _require_alpha(args.alpha)
     if args.n < 1 or args.samples < 1:
         raise QoctError("need --n >= 1 and --samples >= 1")
     sweep = _time_sweep if args.mode == "time" else energy_sweep
@@ -164,7 +161,6 @@ def _cmd_sweep_alpha(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    _require_alpha(args.alpha)
     e1, e2, e3 = _parse_triple(args.energies)
     x1, x2 = (float(p) for p in args.phases.split(","))
     spec = LevelSpec(e1, e2, e3, x1, x2)
@@ -202,7 +198,6 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _require_alpha(args.alpha)
     best_time, _ = sample_search_min_time(
         args.alpha, args.n, args.max_segments, args.seed
     )
@@ -230,11 +225,6 @@ def _cmd_verify(args) -> int:
                  f"all {len(results)} criteria passed")
     _write("\n".join(lines) + "\n", args.out)
     return 3 if n_fail else 0
-
-
-def _require_alpha(alpha: float):
-    if alpha is None or alpha <= 0.0 or not math.isfinite(alpha):
-        raise QoctError("the nonisotropy factor --alpha must be positive")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -321,7 +321,9 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
         h: fine integration step used near convergence.
 
     Raises:
-        BracketError: when the a priori bounds do not straddle the solution.
+        BracketError: when the a priori bounds do not straddle the solution,
+            or when the best transfer endpoint found misses the target by
+            more than ``SHOOT_MISS_LIMIT``.
     """
     require("tolerance", tol_m3)
     require("step h", h)
@@ -384,7 +386,7 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
         return float(ep[1]), miss
 
     def finish() -> float:
-        if best is None or best[0] > 1e-2:
+        if best is None or best[0] > tol.SHOOT_MISS_LIMIT:
             raise BracketError(
                 f"the shooting parameter for alpha={alpha} is not resolvable "
                 "in double precision (best transfer-endpoint miss "

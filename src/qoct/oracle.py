@@ -1,10 +1,13 @@
-"""Independent brute-force and quadrature oracles.
+"""Independent brute-force and quadrature oracles, and the one bisection.
 
-Nothing here shares code with the closed-form paths it is meant to check:
-the random pulse search propagates candidate laws exactly and reports the
-fastest one that touches a small ball around the target, and the adaptive
-Simpson rule provides an integral oracle for the elliptic module and the
-energy cost.
+The pulse search and the quadrature share no code with the closed-form
+paths they check: the random pulse search propagates candidate laws exactly
+and reports the fastest one that touches a small ball around the target, and
+the adaptive Simpson rule provides an integral oracle for the elliptic
+module and the energy cost.  ``bisect_root`` is the package's one scalar
+root bisection, used by the time-optimal synthesis and the acceptance
+criteria; the energy dichotomy and the integrator's exit location bisect on
+exit faces and boundary crossings instead.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DomainError, NoSolutionError, SingularLocusError, require
 from .integrator import Trajectory, TrajectorySample
+from .oracle import bisect_root
 from .so3 import SOURCE, SkewGenerator, StateS2, generator, rodrigues_exp
 
 
@@ -67,11 +68,9 @@ class ControlLaw:
 
     def control(self, t: float) -> tuple[float, float]:
         """Control values at time t; each segment owns [start, end)."""
-        starts = [0.0]
-        for seg in self.segments[:-1]:
-            starts.append(starts[-1] + seg.duration)
-        idx = max(0, bisect_right(starts, t) - 1)
-        seg = self.segments[idx] if self.segments else Segment(0.0, 0.0, 0.0)
+        if not self.segments:
+            return 0.0, 0.0
+        seg = self.segments[bisect_right(self.switch_times(), t)]
         return seg.u1, seg.u2
 
     def as_control(self):
@@ -216,18 +215,25 @@ def min_time_law(alpha: float) -> ControlLaw:
     )
 
 
+def _state_after(segments, alpha: float, start: np.ndarray) -> np.ndarray:
+    """Exact state after composing whole segments from ``start``."""
+    state = start
+    for seg in segments:
+        if seg.duration > 0.0:
+            state = rodrigues_exp(generator(seg.u1, seg.u2, alpha), seg.duration).apply_array(state)
+    return state
+
+
 def law_state(psi0: StateS2, law: ControlLaw, t: float) -> np.ndarray:
     """Exact state at time t under a law (full arcs composed, last one partial)."""
-    state = psi0.as_array()
-    remaining = t
+    cut, remaining = [], t
     for seg in law.segments:
         if remaining <= 0.0:
             break
         step = min(seg.duration, remaining)
-        if step > 0.0:
-            state = rodrigues_exp(generator(seg.u1, seg.u2, law.alpha), step).apply_array(state)
+        cut.append(Segment(seg.u1, seg.u2, step))
         remaining -= step
-    return state
+    return _state_after(cut, law.alpha, psi0.as_array())
 
 
 def propagate_law(psi0: StateS2, law: ControlLaw, max_step: float | None = None) -> Trajectory:
@@ -312,32 +318,25 @@ def _families(alpha: float) -> list[_Family]:
     ]
 
 
-def _state_after(segments, alpha: float, start: np.ndarray) -> np.ndarray:
-    state = start
-    for seg in segments:
-        if seg.duration > 0.0:
-            state = rodrigues_exp(generator(seg.u1, seg.u2, alpha), seg.duration).apply_array(state)
-    return state
+def _arc_coeffs(g: SkewGenerator, p: np.ndarray):
+    """(w, A, B, C) with exp(tG) p = A + B*cos(w t) + C*sin(w t) for vectors A, B, C."""
+    w = g.rate
+    gp = g.apply(p)
+    ggp = g.apply(gp) / (w * w)
+    return w, p + ggp, -ggp, gp / w
 
 
-def _arc_angle_to(p: np.ndarray, target: np.ndarray, g: SkewGenerator) -> float | None:
-    """Forward rotation angle in [0, 2*pi) taking p to the target about g's axis.
+def _arc_angle_to(p: np.ndarray, target: np.ndarray, g: SkewGenerator) -> float:
+    """Forward rotation angle in [0, 2*pi) taking p toward the target about g's axis.
 
-    None when the target does not lie on the circle through p (different
-    cone angle or radius mismatch beyond tolerance).
+    The target's offset from the circle's centre A, read in the (B, C) frame;
+    whether it lies on the circle is left to the caller's endpoint check.
     """
-    n = g.axis() / g.rate
-    pn = float(p @ n)
-    tn = float(target @ n)
-    v1 = p - pn * n
-    v2 = target - tn * n
-    r1 = float(np.linalg.norm(v1))
-    r2 = float(np.linalg.norm(v2))
-    if abs(pn - tn) > 1e-9 or abs(r1 - r2) > 1e-9:
-        return None
-    if r1 < 1e-12:
+    _, A, B, C = _arc_coeffs(g, p)
+    if float(np.linalg.norm(B)) < 1e-12:
         return 0.0
-    ang = math.atan2(float(n @ np.cross(v1, v2)), float(v1 @ v2))
+    d = target - A
+    ang = math.atan2(float(C @ d), float(B @ d))
     if ang < 0.0:
         ang += 2.0 * math.pi
     if ang > 2.0 * math.pi - 1e-9:
@@ -362,52 +361,28 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
     base = _state_after(fam.prefix, alpha, SOURCE.as_array())
     level = float(target @ n_final)
 
+    def point(a: float) -> np.ndarray:
+        """Start of the final arc after the first control is held for a."""
+        return _state_after(fam.mid, alpha, rodrigues_exp(g_first, a).apply_array(base))
+
     def miss(a: float) -> float:
-        p = rodrigues_exp(g_first, a).apply_array(base)
-        p = _state_after(fam.mid, alpha, p)
-        return float(p @ n_final) - level
+        return float(point(a) @ n_final) - level
 
     grid = np.linspace(fam.a_lo, fam.a_hi, 257)
     vals = [miss(a) for a in grid]
     roots = []
-    snap = 1e-13
     for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if abs(va) <= snap:
+        if abs(vals[i]) <= tol.SYNTHESIS_SNAP:
             roots.append(grid[i])
-        elif va * vb < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            flo = va
-            while hi - lo > tol.BRACKET_MIN:
-                mid = 0.5 * (lo + hi)
-                fm = miss(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo < 0.0) == (fm < 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if abs(vals[-1]) <= snap:
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(bisect_root(miss, grid[i], grid[i + 1], tol.BRACKET_MIN))
+    if abs(vals[-1]) <= tol.SYNTHESIS_SNAP:
         roots.append(grid[-1])
 
     for a in roots:
-        p = rodrigues_exp(g_first, a).apply_array(base)
-        p = _state_after(fam.mid, alpha, p)
-        ang = _arc_angle_to(p, target, g_final)
-        if ang is None:
-            continue
-        dur = ang / g_final.rate
-        law = ControlLaw(
-            _trim(
-                fam.prefix
-                + (Segment(fam.first[0], fam.first[1], a),)
-                + fam.mid
-                + (Segment(fam.final[0], fam.final[1], dur),)
-            ),
-            alpha,
-        )
+        dur = _arc_angle_to(point(a), target, g_final) / g_final.rate
+        segs = fam.prefix + (Segment(*fam.first, a),) + fam.mid + (Segment(*fam.final, dur),)
+        law = ControlLaw(_trim(segs), alpha)
         endpoint = _state_after(law.segments, alpha, SOURCE.as_array())
         if float(np.linalg.norm(endpoint - target)) > tol.SYNTHESIS_ACCEPT:
             continue
@@ -469,14 +444,6 @@ def synthesis_law(
             f"no synthesis family reaches target {target.as_tuple()} at alpha={alpha}"
         )
     return best
-
-
-def _arc_coeffs(g: SkewGenerator, p: np.ndarray):
-    """(w, A, B, C) with exp(tG) p = A + B*cos(w t) + C*sin(w t) for vectors A, B, C."""
-    w = g.rate
-    gp = g.apply(p)
-    ggp = g.apply(gp) / (w * w)
-    return w, p + ggp, -ggp, gp / w
 
 
 def _arc_exit_time(start: np.ndarray, g: SkewGenerator) -> float:

@@ -34,13 +34,19 @@ CRITICAL_WINDOW_ULPS = 8.0
 SINGULAR_LOCUS = 1e-12
 
 
-# synthesis root finding: endpoint miss target and minimal bracket width
-SYNTHESIS_ENDPOINT = 1e-10
+# synthesis root finding: accepted endpoint miss (and octant undershoot) of a
+# candidate law, minimal bracket width, and the scan value that counts as a
+# root at a grid point
 SYNTHESIS_ACCEPT = 1e-9
 BRACKET_MIN = 1e-14
+SYNTHESIS_SNAP = 1e-13
 
 # a coordinate must dip below -ARC_EXIT_DIP along an arc to count as an exit
 ARC_EXIT_DIP = 1e-12
+
+# energy shooting: a solve whose best RK4 transfer endpoint misses the target
+# by more than this raises instead of returning its best point
+SHOOT_MISS_LIMIT = 1e-3
 
 # event location: boundary-crossing time resolved to this width
 EXIT_TIME_BISECT = 1e-11

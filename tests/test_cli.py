@@ -143,3 +143,24 @@ def test_float_formatting_round_trips(capsys):
     from qoct import min_time_law
 
     assert doc["total_time"] == min_time_law(0.3).total_duration
+
+
+_ALPHA_FORMS = {
+    "min-time": ["min-time"],
+    "min-time-target": ["min-time", "--target", "0,1,0"],
+    "min-energy": ["min-energy"],
+    "sweep-time": ["sweep-synthesis", "--mode", "time", "--n", "2"],
+    "sweep-energy": ["sweep-synthesis", "--mode", "energy", "--n", "2"],
+    "lift-time": ["lift", "--mode", "time", "--energies=-1,0.3,0.7"],
+    "lift-energy": ["lift", "--mode", "energy", "--energies=-1,0.3,0.7"],
+    "oracle": ["oracle", "--n", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("form", list(_ALPHA_FORMS))
+def test_bad_alpha_exits_2_with_library_message(form, alpha, capsys):
+    # the library entry point behind each subcommand guards the factor
+    assert main(_ALPHA_FORMS[form] + ["--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nonisotropy factor must be finite and > 0, got ")

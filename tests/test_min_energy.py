@@ -237,3 +237,10 @@ def test_energy_sweep_runs_each_extremal_to_the_boundary():
         assert len(traj.samples) <= 12
     with pytest.raises(DomainError):
         energy_sweep(2.0, 0, 5)
+
+
+def test_solve_raises_when_the_best_endpoint_misses():
+    # the best RK4 transfer endpoint misses the target by 2.1e-3 here; the
+    # solve used to return it without error
+    with pytest.raises(BracketError, match="best transfer-endpoint miss"):
+        solve_m3(0.094, 1e-8)

@@ -27,6 +27,7 @@ from qoct import (
     synthesis_sweep,
     t_alpha,
 )
+from qoct.so3 import generator, rodrigues_exp
 from qoct.time_optimal import law_state
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -270,3 +271,41 @@ def test_factor_guard(alpha):
             fn(alpha)
     with pytest.raises(DomainError):
         synthesis_law(alpha, StateS2(0.0, 0.6, 0.8))
+
+
+# three segments with distinct controls; switches at 0.3 and 0.3 + 0.5
+_LAW = ControlLaw((Segment(1.0, 0.0, 0.3), Segment(1.0, 1.0, 0.5), Segment(-1.0, 1.0, 0.4)), 2.0)
+
+
+def _composed(durations) -> np.ndarray:
+    """The source carried along the first len(durations) segments of _LAW."""
+    state = SOURCE.as_array()
+    for seg, dur in zip(_LAW.segments, durations):
+        state = rodrigues_exp(generator(seg.u1, seg.u2, _LAW.alpha), dur).apply_array(state)
+    return state
+
+
+def test_control_clock():
+    s1, s2 = _LAW.switch_times()
+    assert _LAW.control(-1.0) == (1.0, 0.0)
+    assert _LAW.control(0.0) == (1.0, 0.0)
+    # each segment owns [start, end): a switch time belongs to the next one
+    assert _LAW.control(s1) == (1.0, 1.0)
+    assert _LAW.control(s2) == (-1.0, 1.0)
+    assert _LAW.control(s2 - 1e-12) == (1.0, 1.0)
+    assert _LAW.control(_LAW.total_duration + 5.0) == (-1.0, 1.0)
+    assert ControlLaw((), 1.0).control(0.5) == (0.0, 0.0)
+    fn, switches = _LAW.as_control()
+    assert switches == (s1, s2) and fn(s1) == _LAW.control(s1)
+
+
+def test_law_state_composes_cut_segments():
+    s1, s2 = _LAW.switch_times()
+    assert np.array_equal(law_state(SOURCE, _LAW, 0.0), SOURCE.as_array())
+    assert np.array_equal(law_state(SOURCE, _LAW, s1), _composed([0.3]))
+    assert np.array_equal(law_state(SOURCE, _LAW, s2), _composed([0.3, 0.5]))
+    mid = 0.55
+    assert np.array_equal(law_state(SOURCE, _LAW, mid), _composed([0.3, mid - 0.3]))
+    end = _composed([0.3, 0.5, 0.4])
+    assert np.array_equal(law_state(SOURCE, _LAW, _LAW.total_duration + 1.0), end)
+    assert np.array_equal(propagate_law(SOURCE, _LAW).endpoint, end)
