@@ -7,7 +7,7 @@ together with independent verification oracles and a resonant lift back to
 the full complex dynamics.
 """
 
-from .elliptic import JacobiTriple, complete_k, jacobi, jacobi_derived
+from .elliptic import JacobiTriple, complete_k, jacobi, jacobi_derived, sncndn
 from .errors import (
     BracketError,
     ConsistencyError,

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import acceptance
+from . import tolerances as tol
 from .errors import QoctError
 from .lift import ComplexState, LevelSpec, lift_controls, simulate_complex
 from .min_energy import (
@@ -129,7 +130,12 @@ def _cmd_min_energy(args) -> int:
 def _time_sweep(alpha: float, n: int, samples: int):
     """Sample the time synthesis: laws across the families, run to octant exit."""
     return [
-        (param, propagate_law(SOURCE, law, max_step=max(law.total_duration / samples, 1e-9)))
+        (
+            param,
+            propagate_law(
+                SOURCE, law, max_step=max(law.total_duration / samples, tol.SAMPLE_STEP_FLOOR)
+            ),
+        )
         for param, law in synthesis_sweep(alpha, n)
     ]
 

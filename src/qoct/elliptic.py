@@ -14,6 +14,10 @@ range; the iteration stops once the AGM gap falls below 1e-15.  Moduli within
 at k = 1 only engages within a few float ulps, because the Landen chain stays
 accurate essentially up to float resolution there and downstream solvers
 genuinely operate that close to the degenerate modulus.
+
+``sncndn`` is the one evaluation kernel and returns a plain tuple, since
+integrators call it three times per RK4 step; ``jacobi`` wraps it in a
+``JacobiTriple`` and ``jacobi_derived`` divides its values by dn.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class JacobiTriple:
 
 
 def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """The arithmetic-geometric mean chain of (1, kp), shared by K and jacobi.
+    """The arithmetic-geometric mean chain of (1, kp), shared by K and sncndn.
 
     Returns (c, a, b): the means a_i and b_i up to the first pair within
     AGM_GAP of each other, and c = (a_N + b_N)/2 one step past it.
@@ -56,9 +60,15 @@ def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
 
 
 @lru_cache(maxsize=256)
-def _landen_chain(k: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """The AGM chain at modulus k, cached by k: jacobi reuses it per modulus."""
-    return _agm(math.sqrt((1.0 - k) * (1.0 + k)))
+def _landen_chain(k: float) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The AGM chain at modulus k, cached by k: sncndn reuses it per modulus.
+
+    Returns (c, chain): the scale c of ``_agm`` and the pairs (a_i, b_i) in
+    reverse order, as the backward Landen recurrence walks them; chain[0][0]
+    is a_N.
+    """
+    scale, em, en = _agm(math.sqrt((1.0 - k) * (1.0 + k)))
+    return scale, tuple(zip(reversed(em), reversed(en)))
 
 
 def complete_k(k: float) -> float:
@@ -75,7 +85,7 @@ def complete_k(k: float) -> float:
     """
     if not (0.0 <= k < 1.0):
         raise DomainError(f"complete_k requires 0 <= k < 1, got {k!r}")
-    return math.pi / (2.0 * _landen_chain(k)[1][-1])
+    return math.pi / (2.0 * _landen_chain(k)[1][0][0])
 
 
 def complete_k_comp(kp: float) -> float:
@@ -89,7 +99,7 @@ def complete_k_comp(kp: float) -> float:
     return math.pi / (2.0 * _agm(kp)[1][-1])
 
 
-def jacobi(u: float, k: float) -> JacobiTriple:
+def sncndn(u: float, k: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions (sn, cn, dn) at argument u and modulus k.
 
     Args:
@@ -97,37 +107,45 @@ def jacobi(u: float, k: float) -> JacobiTriple:
         k: modulus, 0 <= k <= 1.
 
     Returns:
-        JacobiTriple with absolute accuracy around 1e-14 for k in [0, 0.999].
+        The tuple (sn, cn, dn), with absolute accuracy around 1e-14 for k in
+        [0, 0.999].
     """
     if not (0.0 <= k <= 1.0):
-        raise DomainError(f"jacobi requires 0 <= k <= 1, got {k!r}")
+        raise DomainError(f"Jacobi functions require 0 <= k <= 1, got {k!r}")
     if not math.isfinite(u):
-        raise DomainError("jacobi argument must be finite")
+        raise DomainError("Jacobi function argument must be finite")
     if k < tol.ELLIPTIC_DEGENERATE:
-        return JacobiTriple(math.sin(u), math.cos(u), 1.0)
+        return math.sin(u), math.cos(u), 1.0
     if 1.0 - k < tol.ELLIPTIC_DEGENERATE_ONE:
         sech = 1.0 / math.cosh(u)
-        return JacobiTriple(math.tanh(u), sech, sech)
+        return math.tanh(u), sech, sech
 
-    scale, em, en = _landen_chain(k)
+    scale, chain = _landen_chain(k)
     phase = u * scale
     sn = math.sin(phase)
+    if -tol.LANDEN_SN_FLOOR < sn < tol.LANDEN_SN_FLOOR:
+        # sn = u and cn = dn = 1 in double precision; the recurrence's
+        # terms grow like 1/sn^2 and would overflow to nan
+        return u, 1.0, 1.0
+    # backward Landen recurrence on the function values
     cn = math.cos(phase)
     dn = 1.0
-    if sn != 0.0:
-        # backward Landen recurrence on the function values
-        a = cn / sn
-        c = scale * a
-        for i in range(len(em) - 1, -1, -1):
-            b = em[i]
-            a *= c
-            c *= dn
-            dn = (en[i] + a) / (b + a)
-            a = c / b
-        a = 1.0 / math.sqrt(c * c + 1.0)
-        sn = -a if sn < 0.0 else a
-        cn = c * sn
-    return JacobiTriple(sn, cn, dn)
+    a = cn / sn
+    c = scale * a
+    for b, e in chain:
+        a *= c
+        c *= dn
+        dn = (e + a) / (b + a)
+        a = c / b
+    a = 1.0 / math.sqrt(c * c + 1.0)
+    sn = -a if sn < 0.0 else a
+    cn = c * sn
+    return sn, cn, dn
+
+
+def jacobi(u: float, k: float) -> JacobiTriple:
+    """``sncndn(u, k)`` as a JacobiTriple."""
+    return JacobiTriple(*sncndn(u, k))
 
 
 def jacobi_derived(u: float, k: float) -> tuple[float, float, float]:
@@ -136,5 +154,5 @@ def jacobi_derived(u: float, k: float) -> tuple[float, float, float]:
     dn is bounded away from zero for k < 1, and stays positive (it equals
     sech) at k = 1, so the quotients are always well defined here.
     """
-    t = jacobi(u, k)
-    return t.cn / t.dn, t.sn / t.dn, 1.0 / t.dn
+    sn, cn, dn = sncndn(u, k)
+    return cn / dn, sn / dn, 1.0 / dn

@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DomainError, HorizonError, StepError, require
 from .so3 import StateS2
-from .tolerances import RENORM_LIMIT
+from .tolerances import RENORM_LIMIT, STEP_COUNT_SLACK
 
 
 class ExitFace(enum.Enum):
@@ -56,8 +56,10 @@ class Trajectory:
         norms = np.array(
             [float(np.sum(np.abs(s.state) ** 2)) for s in self.samples]
         )
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise DomainError("a state sample is off the unit sphere beyond 1e-10")
+        if np.max(np.abs(norms - 1.0)) > tol.STATE_NORM:
+            raise DomainError(
+                f"a state sample is off the unit sphere beyond {tol.STATE_NORM:g}"
+            )
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
@@ -93,7 +95,7 @@ def _rk4(state, t0, span, h, control, rhs, cut=math.inf, out=None, every=1):
     a float and |v|^2 for a complex amplitude.  With ``out``, every
     ``every``-th step and the last append (t, state).
     """
-    n = max(1, math.ceil(span / h - 1e-12))
+    n = max(1, math.ceil(span / h - STEP_COUNT_SLACK))
     h = span / n
     h2, h6 = 0.5 * h, h / 6.0
     x, y, z = state

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .errors import ConsistencyError, DomainError, require
 from .integrator import Trajectory, TrajectorySample, propagate
 
@@ -42,8 +43,10 @@ class ComplexState:
         if a.shape != (3,):
             raise DomainError("complex state must have three amplitudes")
         n = float(np.sum(np.abs(a) ** 2))
-        if abs(n - 1.0) > 1e-10:
-            raise DomainError(f"complex state norm^2 = {n!r} is not 1 within 1e-10")
+        if abs(n - 1.0) > tol.STATE_NORM:
+            raise DomainError(
+                f"complex state norm^2 = {n!r} is not 1 within {tol.STATE_NORM:g}"
+            )
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -131,8 +134,9 @@ def interaction_picture(traj: Trajectory, spec: LevelSpec) -> Trajectory:
     matching resonant pulses the result is real up to integration error.
 
     Raises:
-        ConsistencyError: when imaginary residues exceed 1e-4 (wrong phases
-            or off-resonant drive).
+        ConsistencyError: when imaginary residues exceed
+            ``tolerances.IMAGINARY_RESIDUE`` (wrong phases or off-resonant
+            drive).
     """
     v_inv = np.array(
         [
@@ -150,7 +154,7 @@ def interaction_picture(traj: Trajectory, spec: LevelSpec) -> Trajectory:
         worst = max(worst, float(np.max(np.abs(chi.imag))))
         real = chi.real / float(np.linalg.norm(chi.real))
         out.append(TrajectorySample(s.t, real, s.u1, s.u2, s.monitors))
-    if worst > 1e-4:
+    if worst > tol.IMAGINARY_RESIDUE:
         raise ConsistencyError(
             f"imaginary residue {worst:.3e} after undoing the resonant phases"
         )

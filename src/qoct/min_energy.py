@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .elliptic import complete_k_comp, jacobi, jacobi_derived
+from .elliptic import complete_k_comp, sncndn
 from .errors import BracketError, DomainError, RegimeError, require
 from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .oracle import quadrature
@@ -159,18 +159,20 @@ def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
         arg = rate * t
         sech = 1.0 / math.cosh(arg)
         return ExtremalSample(sech, a * math.tanh(arg), m * sech, a)
+    sn, cn, dn = sncndn(rate * t, k)
     if reg is Regime.SUB_CRITICAL:
-        j = jacobi(rate * t, k)
-        return ExtremalSample(j.dn, a * k * j.sn, m * j.cn, a)
+        return ExtremalSample(dn, a * k * sn, m * cn, a)
     if reg is Regime.SUPER_CRITICAL:
-        j = jacobi(rate * t, k)
-        return ExtremalSample(j.cn, a * j.sn, m * j.dn, a)
-    cd, sd, nd = jacobi_derived(rate * t, k)
-    return ExtremalSample(cd, a * e.comodulus * sd, m * nd, a)
+        return ExtremalSample(cn, a * sn, m * dn, a)
+    return ExtremalSample(cn / dn, a * e.comodulus * (sn / dn), m * (1.0 / dn), a)
 
 
 def extremal_control(e: EnergyExtremal):
-    """Fast closure t -> (u1, u2) for integrators, in the unscaled controls."""
+    """Fast closure t -> (u1, u2) for integrators, in the unscaled controls.
+
+    The closures read ``sncndn`` as a module global at call time, so a
+    wrapper installed on this module's namespace sees every evaluation.
+    """
     a = e.alpha
     reg, k, rate = e.regime, e.modulus, e.rate
     if reg is Regime.ZERO:
@@ -185,22 +187,22 @@ def extremal_control(e: EnergyExtremal):
     if reg is Regime.SUB_CRITICAL:
 
         def ctrl_s(t, _r=rate, _k=k):
-            j = jacobi(_r * t, _k)
-            return j.dn, _k * j.sn
+            sn, _, dn = sncndn(_r * t, _k)
+            return dn, _k * sn
 
         return ctrl_s
     if reg is Regime.SUPER_CRITICAL:
 
         def ctrl_p(t, _r=rate, _k=k):
-            j = jacobi(_r * t, _k)
-            return j.cn, j.sn
+            sn, cn, _ = sncndn(_r * t, _k)
+            return cn, sn
 
         return ctrl_p
     w = e.comodulus
 
     def ctrl_a(t, _r=rate, _k=k, _w=w):
-        cd, sd, _ = jacobi_derived(_r * t, _k)
-        return cd, _w * sd
+        sn, cn, dn = sncndn(_r * t, _k)
+        return cn / dn, _w * (sn / dn)
 
     return ctrl_a
 

@@ -35,7 +35,7 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        if max(abs(self.u1), abs(self.u2)) > 1.0 + 1e-12:
+        if max(abs(self.u1), abs(self.u2)) > 1.0 + tol.CONTROL_BOUND_SLACK:
             raise DomainError("segment controls must lie in [-1, 1]")
         if self.duration < 0.0 or not math.isfinite(self.duration):
             raise DomainError("segment duration must be finite and >= 0")
@@ -333,23 +333,25 @@ def _arc_angle_to(p: np.ndarray, target: np.ndarray, g: SkewGenerator) -> float:
     whether it lies on the circle is left to the caller's endpoint check.
     """
     _, A, B, C = _arc_coeffs(g, p)
-    if float(np.linalg.norm(B)) < 1e-12:
+    if float(np.linalg.norm(B)) < tol.ARC_ON_AXIS:
         return 0.0
     d = target - A
     ang = math.atan2(float(C @ d), float(B @ d))
     if ang < 0.0:
         ang += 2.0 * math.pi
-    if ang > 2.0 * math.pi - 1e-9:
+    if ang > 2.0 * math.pi - tol.ARC_ANGLE_WRAP:
         ang = 0.0
     return ang
 
 
 def _trim(segments) -> tuple[Segment, ...]:
-    return tuple(s for s in segments if s.duration > 1e-12)
+    return tuple(s for s in segments if s.duration > tol.SEGMENT_MIN_DURATION)
 
 
 def _octant_clean(law: ControlLaw, samples: int = 200) -> bool:
-    traj = propagate_law(SOURCE, law, max_step=max(law.total_duration / samples, 1e-9))
+    traj = propagate_law(
+        SOURCE, law, max_step=max(law.total_duration / samples, tol.SAMPLE_STEP_FLOOR)
+    )
     return bool(np.min(traj.states()) >= -tol.SYNTHESIS_ACCEPT)
 
 
@@ -418,9 +420,9 @@ def synthesis_law(
         raise DomainError("target must lie in the closed positive octant")
     tgt = target.as_array()
 
-    if float(np.linalg.norm(tgt - np.array([0.0, 0.0, 1.0]))) < 1e-12:
+    if float(np.linalg.norm(tgt - np.array([0.0, 0.0, 1.0]))) < tol.CORNER_BALL:
         return min_time_law(alpha)
-    if float(np.linalg.norm(tgt - np.array([1.0, 0.0, 0.0]))) < 1e-12:
+    if float(np.linalg.norm(tgt - np.array([1.0, 0.0, 0.0]))) < tol.CORNER_BALL:
         return ControlLaw((), alpha)
     if abs(target.psi2) < tol.SINGULAR_LOCUS:
         raise NoSolutionError(
@@ -429,7 +431,7 @@ def synthesis_law(
         )
     if (
         reject_psi1_boundary
-        and abs(target.psi1) < 1e-9
+        and abs(target.psi1) < tol.PSI1_BOUNDARY
         and target.psi3 < min(alpha, 1.0)
     ):
         raise NoSolutionError("target sits on the psi1 = 0 boundary (rejected by flag)")
@@ -437,7 +439,7 @@ def synthesis_law(
     best = None
     for fam in _families(alpha):
         for law in _family_candidates(fam, alpha, tgt):
-            if best is None or law.total_duration < best.total_duration - 1e-12:
+            if best is None or law.total_duration < best.total_duration - tol.DURATION_TIE:
                 best = law
     if best is None:
         raise NoSolutionError(

@@ -22,6 +22,11 @@ ELLIPTIC_DEGENERATE = 1e-10
 # for extreme nonisotropy factors, so this gate sits at float resolution
 ELLIPTIC_DEGENERATE_ONE = 4e-16
 
+# |sn| of the Landen phase below this returns (u, 1, 1), the correctly
+# rounded values there: the backward Landen recurrence overflows once |sn|
+# falls below about 1e-154
+LANDEN_SN_FLOOR = 1e-150
+
 # |alpha - 1| below this (relative) selects the isotropic branch
 ALPHA_ONE_REL = 1e-12
 
@@ -32,6 +37,30 @@ CRITICAL_WINDOW_ULPS = 8.0
 
 # |psi2| below this counts as sitting on the singular locus
 SINGULAR_LOCUS = 1e-12
+
+# a segment control may exceed the unit box by this much (rounding slack)
+CONTROL_BOUND_SLACK = 1e-12
+
+# segments shorter than this are dropped from a synthesized law
+SEGMENT_MIN_DURATION = 1e-12
+
+# a target this close to the source or the target corner is that corner
+CORNER_BALL = 1e-12
+
+# a candidate law must be shorter by more than this to replace the best one
+DURATION_TIE = 1e-12
+
+# an arc whose off-axis part |B| is below this is a point on the axis
+ARC_ON_AXIS = 1e-12
+
+# a final-arc angle within this of 2*pi wraps to zero
+ARC_ANGLE_WRAP = 1e-9
+
+# |psi1| below this puts a target on the psi1 = 0 boundary (reject flag)
+PSI1_BOUNDARY = 1e-9
+
+# floor on the sampling step of a synthesized law
+SAMPLE_STEP_FLOOR = 1e-9
 
 
 # synthesis root finding: accepted endpoint miss (and octant undershoot) of a
@@ -61,3 +90,14 @@ TARGET_BALL = 1e-8
 
 # per-step renormalization correction above this aborts the integrator
 RENORM_LIMIT = 1e-6
+
+# span/h is reduced by this before rounding up to a step count, so a span
+# that is a whole number of steps up to rounding takes exactly that many
+STEP_COUNT_SLACK = 1e-12
+
+# a recorded state (real or complex) is off the unit sphere beyond this norm^2
+# deviation
+STATE_NORM = 1e-10
+
+# largest imaginary residue accepted after undoing the resonant phases
+IMAGINARY_RESIDUE = 1e-4

@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qoct import DomainError, complete_k, jacobi, jacobi_derived
+from qoct import DomainError, complete_k, jacobi, jacobi_derived, sncndn
+from qoct import tolerances as tol
+from qoct.elliptic import _agm
 from qoct.oracle import bisect_root, quadrature
+
+# moduli covering every branch of sncndn: trigonometric (k = 0 and below
+# ELLIPTIC_DEGENERATE), generic Landen, Landen a few ulps from one, 1 - k
+# inside ELLIPTIC_DEGENERATE_ONE, and the hyperbolic k = 1
+KERNEL_MODULI = (0.0, 1e-11, 0.3, 0.8, 0.999, 1.0 - 1e-13, 1.0 - 2.0**-53, 1.0)
+KERNEL_ARGS = (0.0, -0.0, 0.4, -0.4, 1.7, -3.9, 12.5, -25.0, 50.0, -50.0)
 
 
 def k_by_quadrature(k: float) -> float:
@@ -102,3 +112,81 @@ def test_first_cd_zero_is_quarter_period():
     k = 0.3
     root = bisect_root(lambda u: jacobi_derived(u, k)[0], 1.0, 2.0, 1e-12)
     assert abs(root - complete_k(k)) < 1e-10
+
+
+def sncndn_indexed(u: float, k: float) -> tuple[float, float, float]:
+    """The Landen evaluation as an indexed walk over the AGM chain.
+
+    The reference that sncndn must match bit for bit wherever |sn| of the
+    phase is not tiny (there this walk overflows to nan).
+    """
+    if k < tol.ELLIPTIC_DEGENERATE:
+        return math.sin(u), math.cos(u), 1.0
+    if 1.0 - k < tol.ELLIPTIC_DEGENERATE_ONE:
+        sech = 1.0 / math.cosh(u)
+        return math.tanh(u), sech, sech
+    scale, em, en = _agm(math.sqrt((1.0 - k) * (1.0 + k)))
+    sn, cn, dn = math.sin(u * scale), math.cos(u * scale), 1.0
+    if sn != 0.0:
+        a = cn / sn
+        c = scale * a
+        for i in range(len(em) - 1, -1, -1):
+            a *= c
+            c *= dn
+            dn = (en[i] + a) / (em[i] + a)
+            a = c / em[i]
+        a = 1.0 / math.sqrt(c * c + 1.0)
+        sn = -a if sn < 0.0 else a
+        cn = c * sn
+    return sn, cn, dn
+
+
+def bits(values) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("k", KERNEL_MODULI)
+def test_kernel_matches_the_wrappers_and_the_indexed_walk_bit_for_bit(k):
+    for u in KERNEL_ARGS:
+        got = sncndn(u, k)
+        assert type(got) is tuple
+        j = jacobi(u, k)
+        assert bits(got) == bits((j.sn, j.cn, j.dn))
+        assert bits(got) == bits(sncndn_indexed(u, k))
+        sn, cn, dn = got
+        assert bits(jacobi_derived(u, k)) == bits((cn / dn, sn / dn, 1.0 / dn))
+
+
+def test_kernel_at_zero_and_tiny_arguments():
+    # below |sn| ~ 1e-154 the backward Landen recurrence overflowed to nan
+    for k in KERNEL_MODULI:
+        for u in (0.0, 1e-160, -4.879815054991953e-179, 1e-300, 5e-324):
+            assert bits(sncndn(u, k)) == bits((u, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("k", [-0.1, 1.0 + 1e-15, 1.5, math.nan, math.inf])
+def test_kernel_rejects_modulus_outside_unit_interval(k):
+    with pytest.raises(DomainError):
+        sncndn(0.5, k)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_argument(u):
+    for k in (0.0, 0.5, 1.0):
+        with pytest.raises(DomainError):
+            sncndn(u, k)
+
+
+MODULI = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+    st.sampled_from([0.0, 1e-11, 1.0 - 2.0**-53, 1.0]),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(u=st.floats(-50.0, 50.0), k=MODULI)
+def test_jacobi_identities_hold_across_the_modulus_range(u, k):
+    sn, cn, dn = sncndn(u, k)
+    assert abs(sn * sn + cn * cn - 1.0) <= 4e-15
+    assert abs(dn * dn + k * k * sn * sn - 1.0) <= 4e-15

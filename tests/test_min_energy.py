@@ -244,3 +244,33 @@ def test_solve_raises_when_the_best_endpoint_misses():
     # solve used to return it without error
     with pytest.raises(BracketError, match="best transfer-endpoint miss"):
         solve_m3(0.094, 1e-8)
+
+
+# one extremal per regime: exact agreement is required at the dyadic factors,
+# where the closures' u2 and controls_at's v2 / alpha differ by a power of two
+CLOSURE_CASES = [
+    (0.5, 0.0, Regime.ZERO, 0.0),
+    (0.5, 0.9, Regime.SUB_CRITICAL, 0.0),
+    (0.5, math.sqrt(3.0), Regime.CRITICAL, 0.0),
+    (0.5, 2.5, Regime.SUPER_CRITICAL, 0.0),
+    (2.0, 0.3, Regime.ALPHA_ABOVE_ONE, 0.0),
+    (2.0, 0.0, Regime.ZERO, 0.0),
+    (0.7, 0.6, Regime.SUB_CRITICAL, 1e-15),
+    (0.7, math.sqrt(1.0 - 0.49) / 0.7, Regime.CRITICAL, 1e-15),
+    (0.7, 1.6, Regime.SUPER_CRITICAL, 1e-15),
+    (1.3, 0.2, Regime.ALPHA_ABOVE_ONE, 1e-15),
+]
+
+
+@pytest.mark.parametrize("alpha,m3,regime,tol", CLOSURE_CASES)
+def test_control_closure_matches_controls_at(alpha, m3, regime, tol):
+    e = EnergyExtremal(alpha, m3)
+    assert e.regime is regime
+    ctrl = extremal_control(e)
+    for t in np.linspace(0.0, 40.0, 2001):
+        s = controls_at(e, float(t))
+        u1, u2 = ctrl(float(t))
+        if tol == 0.0:
+            assert (u1, u2) == (s.u1, s.u2)
+        else:
+            assert abs(u1 - s.u1) <= tol and abs(u2 - s.u2) <= tol
