@@ -151,7 +151,7 @@ def propagate(state, control, rhs, T: float, h: float, switch_times=(), record_e
         # stage times at the right endpoint are nudged strictly inside the
         # subinterval so piecewise-constant controls are read on the left
         # side of the switch; the nudge is far below the step error
-        cut = t1 - max((t1 - t0) * 1e-10, 8.0 * sys.float_info.epsilon * abs(t1))
+        cut = t1 - max((t1 - t0) * tol.STAGE_TIME_NUDGE, 8.0 * sys.float_info.epsilon * abs(t1))
         state = _rk4(state, t0, t1 - t0, h, control, rhs, cut, out, record_every)
         out[-1] = (min(out[-1][0], t1), state)  # t0 + n*h may round past t1
     return out

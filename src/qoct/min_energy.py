@@ -252,7 +252,7 @@ def energy_cost(e: EnergyExtremal, T: float) -> float:
         s = controls_at(e, t)
         return s.v1 * s.v1 + s.v2 * s.v2 / a2
 
-    return quadrature(integrand, 0.0, T, 1e-10)
+    return quadrature(integrand, 0.0, T, tol.ENERGY_QUADRATURE)
 
 
 def _horizon(e: EnergyExtremal) -> float:

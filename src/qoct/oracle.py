@@ -13,28 +13,55 @@ exit faces and boundary crossings instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from numbers import Integral
 
+import numpy as np
+
+from . import tolerances as tol
 from .errors import DomainError, QuadratureDepthError, require
 
 _M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_UNIT = 1.0 / (1 << 53)
+
+
+def _mix(z):
+    """SplitMix64 output function of a counter: an int, or a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _uniform(bits, lo, hi):
+    """Uniform on [lo, hi) from the top 53 bits of a draw (int or float array)."""
+    return lo + (hi - lo) * bits * _UNIT
 
 
 class Splitmix64:
-    """Deterministic counter-based pseudo-random stream (no platform entropy)."""
+    """Deterministic counter-based pseudo-random stream (no platform entropy).
+
+    Draw j of a stream is the mix of seed + j * gamma, so ``peek`` can make a
+    whole block of draws at once with the values ``next_u64`` would return.
+    """
 
     def __init__(self, seed: int):
         self._state = seed & _M64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _M64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _M64
+        return _mix(self._state)
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next n draws of ``next_u64`` as a uint64 array; the stream stays put."""
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        return _mix(np.uint64(self._state) + steps * np.uint64(_GAMMA))
+
+    def skip(self, n: int) -> None:
+        """Advance the stream past n draws."""
+        self._state = (self._state + n * _GAMMA) & _M64
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return _uniform(self.next_u64() >> 11, lo, hi)
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
@@ -97,54 +124,151 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 # random pulse search
 # ---------------------------------------------------------------------------
 
-_CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+# share of segments whose controls are a corner of the control square; the
+# others draw both controls uniformly on [-1, 1]
+CORNER_SHARE = 0.7
+
+# candidates per block: the search holds one block's draws and states at a
+# time, so its memory does not grow with the candidate count; blocks of long
+# pulses hold fewer candidates, about _BLOCK_DRAWS draws' worth
+_BLOCK = 512
+_BLOCK_DRAWS = 1 << 16
+
+# the corner drawn as below(4) = 0, 1, 2, 3
+_CORNER_U1 = np.array([1.0, 1.0, -1.0, -1.0])
+_CORNER_U2 = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-@dataclass(frozen=True)
-class _Hit:
-    time: float
-    segments: tuple
+def _draw_block(rng, count, max_segments, d_max, fixed):
+    """Draw up to ``count`` next candidates of the stream.
 
+    A candidate draws its segment count, then per segment either a duration
+    (fixed controls) or a corner-or-uniform choice, a corner or two controls,
+    and a duration.  The length of a segment is known from its first draw,
+    so every draw position is given the length of a segment starting there;
+    pointer doubling over those lengths gives the end of a candidate
+    starting anywhere, and walking from one candidate to the next is a single
+    lookup.  When the candidates run longer than the block's draws allow,
+    the block holds fewer than ``count``.
 
-def _arc_psi3(state, u1, u2, alpha):
-    """Coefficients of psi3(t) = A + B*cos(w t) + C*sin(w t) along one arc."""
-    x, y, z = state
-    a2u2 = alpha * u2
-    w2 = u1 * u1 + a2u2 * a2u2
-    w = math.sqrt(w2)
-    # G*state and G^2*state, third components
-    g3 = a2u2 * y
-    gg3 = a2u2 * (u1 * x - a2u2 * z)
-    p, q, r = z, g3 / w, gg3 / w2
-    return w, p + r, -r, q
-
-
-def _arc_end(state, u1, u2, alpha, dur):
-    x, y, z = state
-    a2u2 = alpha * u2
-    w2 = u1 * u1 + a2u2 * a2u2
-    w = math.sqrt(w2)
-    th = w * dur
-    if th < 1e-9:
-        s_c, c_c = dur, 0.5 * dur * dur
+    Returns (live, u1, u2, dur), each indexed [k, j] for candidate j's k-th
+    segment: live is false past a candidate's last segment, where the other
+    entries are meaningless.  Advances the stream past the block's last
+    candidate.
+    """
+    if fixed is not None:
+        per_seg, mean_seg = 1, 1.0
     else:
-        s_c = math.sin(th) / w
-        c_c = (1.0 - math.cos(th)) / w2
-    gx, gy, gz = -u1 * y, u1 * x - a2u2 * z, a2u2 * y
-    ggx, ggy, ggz = -u1 * gy, u1 * gx - a2u2 * gz, a2u2 * gy
-    return (x + s_c * gx + c_c * ggx, y + s_c * gy + c_c * ggy, z + s_c * gz + c_c * ggz)
+        per_seg, mean_seg = 4, 4.0 - CORNER_SHARE
+    mean_len = 1.0 + mean_seg * (max_segments + 1) / 2
+    count = max(1, min(count, int(_BLOCK_DRAWS / mean_len)))
+    # room for ``count`` candidates of average length and a tenth more, plus
+    # the longest candidate, so that every block holds at least one
+    n = int(1.1 * count * mean_len) + 1 + per_seg * max_segments
+    raw = rng.peek(n + per_seg - 1)
+    bits = (raw >> np.uint64(11)).astype(np.float64)
+    pos = np.arange(n)
+    if fixed is not None:
+        seg_len = 1
+    else:
+        corner = _uniform(bits[:n], 0.0, 1.0) < CORNER_SHARE
+        seg_len = 4 - corner
+    # jump[p]: start of the segment after one starting at p, n + 1 once that
+    # segment or a later one would run past the block's draws
+    jump = np.minimum(np.append(pos + seg_len, (n + 1, n + 1)), n + 1)
+    n_seg = 1 + (raw[:n] % np.uint64(max_segments)).astype(np.intp)
+    end, hop, todo = pos + 1, jump, n_seg
+    while True:
+        end = np.where(todo & 1, hop[end], end)
+        todo = todo >> 1
+        if not todo.any():
+            break
+        hop = hop[hop]
+    starts = []
+    at = 0
+    while len(starts) < count and at < n and end[at] <= n:
+        starts.append(at)
+        at = int(end[at])
+    rng.skip(at)
+    starts = np.array(starts)
+    n_seg = n_seg[starts]
+    heads = np.empty((int(n_seg.max()), len(starts)), dtype=np.intp)
+    heads[0] = starts + 1
+    for k in range(1, len(heads)):
+        heads[k] = jump[heads[k - 1]]
+    live = np.arange(len(heads))[:, None] < n_seg
+    heads[~live] = 0  # any position inside the block
+    if fixed is not None:
+        u1, u2 = np.full(heads.shape, float(fixed[0])), np.full(heads.shape, float(fixed[1]))
+        return live, u1, u2, _uniform(bits[heads], 0.0, d_max)
+    corner = corner[heads]
+    which = (raw[heads + 1] % np.uint64(4)).astype(np.intp)
+    u1 = np.where(corner, _CORNER_U1[which], _uniform(bits[heads + 1], -1.0, 1.0))
+    u2 = np.where(corner, _CORNER_U2[which], _uniform(bits[heads + 2], -1.0, 1.0))
+    dur = _uniform(np.where(corner, bits[heads + 2], bits[heads + 3]), 0.0, d_max)
+    return live, u1, u2, dur
 
 
-def _first_ball_peak(state, u1, u2, alpha, dur, z_min):
-    """Earliest local maximum of psi3 on [0, dur] with psi3 >= z_min.
+def _block_hits(segments, alpha, z_min):
+    """Every candidate of a block that touches the target ball.
+
+    All live candidates advance one exact arc at a time.  An arc goes to the
+    scalar refinement only when its psi3 circle can reach z_min, tested with
+    a margin so that no arc the refinement would accept is discarded.
+
+    Returns a list of (hit time, candidate, segment, refined arc time).
+    """
+    live_seg, u1, u2, dur = segments
+    count = live_seg.shape[1]
+    x, y, z = np.ones(count), np.zeros(count), np.zeros(count)
+    elapsed = np.zeros(count)
+    live = np.ones(count, dtype=bool)
+    hits = []
+    for k in range(len(live_seg)):
+        live &= live_seg[k]
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        a, d = u1[k, idx], dur[k, idx]
+        a2u2 = alpha * u2[k, idx]
+        xs, ys, zs = x[idx], y[idx], z[idx]
+        w2 = a * a + a2u2 * a2u2
+        w = np.sqrt(w2)
+        # G*state and G^2*state
+        gx, gy, gz = -a * ys, a * xs - a2u2 * zs, a2u2 * ys
+        ggx, ggy, ggz = -a * gy, a * gx - a2u2 * gz, a2u2 * gy
+        th = w * d
+        small = th < tol.PULSE_SMALL_ANGLE
+        with np.errstate(divide="ignore", invalid="ignore"):  # standing arcs, w = 0
+            # psi3(t) = A + B*cos(w t) + C*sin(w t) along the arc
+            r = ggz / w2
+            A, B, C = zs + r, -r, gz / w
+            s_c = np.where(small, d, np.sin(th) / w)
+            c_c = np.where(small, 0.5 * d * d, (1.0 - np.cos(th)) / w2)
+        reach = A + np.hypot(B, C)
+        near = (w2 >= tol.PULSE_NO_MOTION) & (reach >= z_min - tol.PULSE_SCREEN_MARGIN)
+        for i in np.flatnonzero(near).tolist():
+            t_hit = _first_ball_peak(
+                float(w[i]), float(A[i]), float(B[i]), float(C[i]), float(d[i]), z_min
+            )
+            if t_hit is not None:
+                j = int(idx[i])
+                hits.append((float(elapsed[j]) + t_hit, j, k, t_hit))
+                live[j] = False
+        x[idx] = xs + s_c * gx + c_c * ggx
+        y[idx] = ys + s_c * gy + c_c * ggy
+        z[idx] = zs + s_c * gz + c_c * ggz
+        elapsed[idx] += d
+    return hits
+
+
+def _first_ball_peak(w, A, B, C, dur, z_min):
+    """Earliest local maximum of psi3(t) = A + B cos(w t) + C sin(w t) on
+    [0, dur] with psi3 >= z_min.
 
     Returns the refined peak time or None.  The peak is polished by bisecting
     the derivative sign change around the analytic candidate.
     """
-    a2u2 = alpha * u2
-    if u1 * u1 + a2u2 * a2u2 < 1e-24:
-        return None  # no motion
-    w, A, B, C = _arc_psi3(state, u1, u2, alpha)
     R = math.hypot(B, C)
     if A + R < z_min:
         return None
@@ -171,9 +295,9 @@ def _first_ball_peak(state, u1, u2, alpha, dur, z_min):
     for t0 in sorted(candidates):
         if psi3(t0) < z_min:
             continue
-        if t0 >= dur - 1e-15:
+        if t0 >= dur - tol.PULSE_END_SNAP:
             return dur
-        eps = min(1e-4 * period, 0.25 * (dur - t0), t0 if t0 > 0 else period)
+        eps = min(tol.PULSE_PEAK_BRACKET * period, 0.25 * (dur - t0), t0 if t0 > 0 else period)
         lo, hi = max(t0 - eps, 0.0), min(t0 + eps, dur)
         if dpsi3(lo) > 0.0 > dpsi3(hi):
             for _ in range(60):
@@ -188,6 +312,26 @@ def _first_ball_peak(state, u1, u2, alpha, dur, z_min):
     return None
 
 
+def _check_search_args(alpha, n_candidates, max_segments, seed, target_radius,
+                       fixed_controls, max_duration):
+    for name, value in (("candidate count", n_candidates), ("segment count", max_segments)):
+        if not (isinstance(value, Integral) and value >= 1):
+            raise DomainError(f"{name} must be a whole number >= 1, got {value!r}")
+    if not isinstance(seed, Integral):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    require("nonisotropy factor", alpha)
+    # written as positive tests, so NaN fails them; at sqrt(2) the ball would
+    # hold the source (1, 0, 0)
+    if not 0.0 < target_radius < math.sqrt(2.0):
+        raise DomainError(f"target radius must be in (0, sqrt 2), got {target_radius!r}")
+    if max_duration is not None:
+        require("maximum segment duration", max_duration)
+    if fixed_controls is not None and not (
+        len(fixed_controls) == 2 and all(abs(u) <= 1.0 for u in fixed_controls)
+    ):
+        raise DomainError(f"fixed controls must be two values in [-1, 1], got {fixed_controls!r}")
+
+
 def sample_search_min_time(
     alpha: float,
     n_candidates: int,
@@ -200,56 +344,48 @@ def sample_search_min_time(
     """Random search over admissible piecewise-constant pulses.
 
     Candidate laws draw each segment's controls from the corners of the
-    control square 70% of the time and uniformly otherwise (or use
-    ``fixed_controls`` for every segment), with durations uniform on
+    control square with probability ``CORNER_SHARE`` and uniformly otherwise
+    (or use ``fixed_controls`` for every segment), with durations uniform on
     [0, max_duration].  Each candidate is propagated exactly; it scores the
     earliest time its trajectory passes a local minimum of the distance to
     the target inside a ball of radius ``target_radius``, refined by
     bisection.  Deterministic for a fixed seed, and candidates are generated
     as a single stream so results for n candidates are a prefix of those for
-    more.
+    more.  Candidates are processed in blocks of arrays, with answers equal
+    to the last bit to those of one candidate at a time.
+
+    Raises:
+        DomainError: a count below one or not whole, a seed that is not an
+            integer, a non-finite or non-positive factor or duration cap, a
+            radius outside (0, sqrt 2), or fixed controls outside [-1, 1].
 
     Returns:
         (best_time, best_segments) where best_segments is a tuple of
         (u1, u2, duration) triples truncated at the scoring time, or
         (inf, None) when no candidate touches the ball.
     """
-    if n_candidates < 1 or max_segments < 1:
-        raise DomainError("need at least one candidate and one segment")
-    require("nonisotropy factor", alpha)
+    _check_search_args(alpha, n_candidates, max_segments, seed, target_radius,
+                       fixed_controls, max_duration)
     rng = Splitmix64(seed)
     d_max = max_duration if max_duration is not None else math.pi * max(1.0, 1.0 / alpha)
     z_min = 1.0 - 0.5 * target_radius * target_radius
 
-    best: _Hit | None = None
-    for _ in range(n_candidates):
-        n_seg = 1 + rng.below(max_segments)
-        state = (1.0, 0.0, 0.0)
-        elapsed = 0.0
-        segs = []
-        hit_time = None
-        for _s in range(n_seg):
-            if fixed_controls is not None:
-                u1, u2 = fixed_controls
-            elif rng.uniform() < 0.7:
-                u1, u2 = _CORNERS[rng.below(4)]
-            else:
-                u1 = rng.uniform(-1.0, 1.0)
-                u2 = rng.uniform(-1.0, 1.0)
-            dur = rng.uniform(0.0, d_max)
-            if hit_time is None:
-                t_hit = _first_ball_peak(state, u1, u2, alpha, dur, z_min)
-                if t_hit is not None:
-                    hit_time = elapsed + t_hit
-                    segs.append((u1, u2, t_hit))
-                else:
-                    segs.append((u1, u2, dur))
-                    state = _arc_end(state, u1, u2, alpha, dur)
-                    elapsed += dur
-        if hit_time is not None:
-            cand = _Hit(hit_time, tuple(segs))
-            if best is None or (cand.time, cand.segments) < (best.time, best.segments):
+    best = None  # the least (time, segments) pair, so hit order does not matter
+    left = n_candidates
+    while left:
+        segments = _draw_block(rng, min(_BLOCK, left), max_segments, d_max, fixed_controls)
+        left -= segments[0].shape[1]
+        for time, j, k, t_hit in _block_hits(segments, alpha, z_min):
+            if best is not None and time > best[0]:
+                continue
+            u1, u2, dur = (v[: k + 1, j].tolist() for v in segments[1:])
+            if fixed_controls is not None:  # as the caller gave them
+                u1, u2 = [fixed_controls[0]] * (k + 1), [fixed_controls[1]] * (k + 1)
+            dur[-1] = t_hit
+            cand = (time, tuple(zip(u1, u2, dur)))
+            if best is None or cand < best:
                 best = cand
     if best is None:
         return math.inf, None
-    return best.time, best.segments
+    return best
+

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,11 +47,18 @@ class ControlLaw:
 
     segments: tuple[Segment, ...]
     alpha: float
+    _switches: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.alpha <= 0.0 or not math.isfinite(self.alpha):
             raise DomainError("nonisotropy factor must be positive and finite")
+        out = []
+        acc = 0.0
+        for seg in self.segments[:-1]:
+            acc += seg.duration
+            out.append(acc)
+        object.__setattr__(self, "_switches", tuple(out))
 
     @property
     def total_duration(self) -> float:
@@ -59,18 +66,13 @@ class ControlLaw:
 
     def switch_times(self) -> tuple[float, ...]:
         """Cumulative times at which a new segment begins (interior only)."""
-        out = []
-        acc = 0.0
-        for seg in self.segments[:-1]:
-            acc += seg.duration
-            out.append(acc)
-        return tuple(out)
+        return self._switches
 
     def control(self, t: float) -> tuple[float, float]:
         """Control values at time t; each segment owns [start, end)."""
         if not self.segments:
             return 0.0, 0.0
-        seg = self.segments[bisect_right(self.switch_times(), t)]
+        seg = self.segments[bisect_right(self._switches, t)]
         return seg.u1, seg.u2
 
     def as_control(self):

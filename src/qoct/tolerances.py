@@ -101,3 +101,24 @@ STATE_NORM = 1e-10
 
 # largest imaginary residue accepted after undoing the resonant phases
 IMAGINARY_RESIDUE = 1e-4
+
+# random pulse search: an arc angle below PULSE_SMALL_ANGLE uses the series
+# coefficients, a squared rate below PULSE_NO_MOTION is a standing arc, a
+# peak within PULSE_END_SNAP of the arc end is the end, and a peak is
+# bracketed by PULSE_PEAK_BRACKET of the arc period before bisection
+PULSE_SMALL_ANGLE = 1e-9
+PULSE_NO_MOTION = 1e-24
+PULSE_END_SNAP = 1e-15
+PULSE_PEAK_BRACKET = 1e-4
+
+# the array screen of the pulse search passes an arc whose psi3 circle comes
+# within this of the target ball, so rounding differences between its
+# hypot and the scalar refinement's can never discard a hit
+PULSE_SCREEN_MARGIN = 1e-12
+
+# RK4 stage times at a subinterval's right end are pulled inside it by this
+# share of its width, so a piecewise-constant control is read on the left
+STAGE_TIME_NUDGE = 1e-10
+
+# absolute tolerance of the adaptive quadrature of the laser energy
+ENERGY_QUADRATURE = 1e-10

@@ -299,6 +299,14 @@ def test_control_clock():
     assert switches == (s1, s2) and fn(s1) == _LAW.control(s1)
 
 
+def test_control_clock_is_built_once():
+    # the lift reads control(t) at every RK4 stage; the switch times are
+    # kept with the law rather than rebuilt per call
+    assert _LAW.switch_times() is _LAW.switch_times()
+    assert _LAW.switch_times() == (0.3, 0.3 + 0.5)
+    assert _LAW == ControlLaw(_LAW.segments, _LAW.alpha) and "_switches" not in repr(_LAW)
+
+
 def test_law_state_composes_cut_segments():
     s1, s2 = _LAW.switch_times()
     assert np.array_equal(law_state(SOURCE, _LAW, 0.0), SOURCE.as_array())
