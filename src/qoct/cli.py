@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -77,8 +78,14 @@ def _write(text: str, out_path: str | None):
 
 def _csv(header: list[str], rows) -> str:
     lines = [SCHEMA_COMMENT, ",".join(header)]
+    # one C-level format per all-float row; "%.17g" % x == format(x, ".17g")
+    fmt = ",".join(["%.17g"] * len(header))
+    floats = repeat(float)
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        if len(row) == len(header) and all(map(isinstance, row, floats)):
+            lines.append(fmt % tuple(row))
+        else:
+            lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

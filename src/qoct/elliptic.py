@@ -17,19 +17,35 @@ genuinely operate that close to the degenerate modulus.
 
 ``sncndn`` is the one evaluation kernel and returns a plain tuple, since
 integrators call it three times per RK4 step; ``jacobi`` wraps it in a
-``JacobiTriple`` and ``jacobi_derived`` divides its values by dn.
+``JacobiTriple`` and ``jacobi_derived`` divides its values by dn.  It keeps
+its last Landen result: on a uniform step grid the last RK4 stage of one
+step and the first stage of the next ask for the same argument, and an equal
+``(u, k)`` returns the stored tuple.  The AGM chains are kept per modulus in
+a bounded table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from math import cos, cosh, isfinite, sin, sqrt, tanh
 
 from . import tolerances as tol
 from .errors import DomainError
 
 _MAX_AGM_ITER = 24
+_DEGENERATE = tol.ELLIPTIC_DEGENERATE
+_DEGENERATE_ONE = tol.ELLIPTIC_DEGENERATE_ONE
+_SN_FLOOR = tol.LANDEN_SN_FLOOR
+
+# AGM chains by modulus, insertion-ordered; a solve or sweep visits a few
+# dozen moduli, and the bound keeps a long run's memory flat
+_CHAIN_CACHE = 256
+_CHAINS: dict[float, tuple[float, tuple[tuple[float, float], ...]]] = {}
+
+# the last Landen evaluation as one (u, k, (sn, cn, dn)) tuple, replaced
+# whole so that a reader never pairs one call's (u, k) with another's values
+_last: tuple = (math.nan, math.nan, (math.nan, math.nan, math.nan))
 
 
 @dataclass(frozen=True)
@@ -59,16 +75,21 @@ def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     return 0.5 * (a + b), tuple(em), tuple(en)
 
 
-@lru_cache(maxsize=256)
 def _landen_chain(k: float) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """The AGM chain at modulus k, cached by k: sncndn reuses it per modulus.
+    """The AGM chain at modulus k, kept per modulus: sncndn reuses it.
 
     Returns (c, chain): the scale c of ``_agm`` and the pairs (a_i, b_i) in
     reverse order, as the backward Landen recurrence walks them; chain[0][0]
-    is a_N.
+    is a_N.  At most ``_CHAIN_CACHE`` moduli are kept; the oldest goes first.
     """
-    scale, em, en = _agm(math.sqrt((1.0 - k) * (1.0 + k)))
-    return scale, tuple(zip(reversed(em), reversed(en)))
+    entry = _CHAINS.get(k)
+    if entry is None:
+        scale, em, en = _agm(math.sqrt((1.0 - k) * (1.0 + k)))
+        entry = scale, tuple(zip(reversed(em), reversed(en)))
+        if len(_CHAINS) >= _CHAIN_CACHE:
+            del _CHAINS[next(iter(_CHAINS))]
+        _CHAINS[k] = entry
+    return entry
 
 
 def complete_k(k: float) -> float:
@@ -110,25 +131,31 @@ def sncndn(u: float, k: float) -> tuple[float, float, float]:
         The tuple (sn, cn, dn), with absolute accuracy around 1e-14 for k in
         [0, 0.999].
     """
+    global _last
+    last_u, last_k, last = _last
+    if u == last_u and k == last_k:  # only validated Landen-path pairs are kept
+        return last
     if not (0.0 <= k <= 1.0):
         raise DomainError(f"Jacobi functions require 0 <= k <= 1, got {k!r}")
-    if not math.isfinite(u):
+    if not isfinite(u):
         raise DomainError("Jacobi function argument must be finite")
-    if k < tol.ELLIPTIC_DEGENERATE:
-        return math.sin(u), math.cos(u), 1.0
-    if 1.0 - k < tol.ELLIPTIC_DEGENERATE_ONE:
-        sech = 1.0 / math.cosh(u)
-        return math.tanh(u), sech, sech
+    if k < _DEGENERATE:
+        return sin(u), cos(u), 1.0
+    if 1.0 - k < _DEGENERATE_ONE:
+        sech = 1.0 / cosh(u)
+        return tanh(u), sech, sech
 
-    scale, chain = _landen_chain(k)
+    entry = _CHAINS.get(k)
+    scale, chain = _landen_chain(k) if entry is None else entry
     phase = u * scale
-    sn = math.sin(phase)
-    if -tol.LANDEN_SN_FLOOR < sn < tol.LANDEN_SN_FLOOR:
+    sn = sin(phase)
+    if -_SN_FLOOR < sn < _SN_FLOOR:
         # sn = u and cn = dn = 1 in double precision; the recurrence's
-        # terms grow like 1/sn^2 and would overflow to nan
+        # terms grow like 1/sn^2 and would overflow to nan.  Not memoized:
+        # the value is u itself, and 0.0 == -0.0
         return u, 1.0, 1.0
     # backward Landen recurrence on the function values
-    cn = math.cos(phase)
+    cn = cos(phase)
     dn = 1.0
     a = cn / sn
     c = scale * a
@@ -137,10 +164,11 @@ def sncndn(u: float, k: float) -> tuple[float, float, float]:
         c *= dn
         dn = (e + a) / (b + a)
         a = c / b
-    a = 1.0 / math.sqrt(c * c + 1.0)
+    a = 1.0 / sqrt(c * c + 1.0)
     sn = -a if sn < 0.0 else a
-    cn = c * sn
-    return sn, cn, dn
+    last = sn, c * sn, dn
+    _last = (u, k, last)
+    return last
 
 
 def jacobi(u: float, k: float) -> JacobiTriple:

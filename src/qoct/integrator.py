@@ -53,10 +53,8 @@ class Trajectory:
             raise DomainError("trajectory must hold at least one sample")
         if np.any(np.diff(ts) <= 0.0):
             raise DomainError("sample times must be strictly increasing")
-        norms = np.array(
-            [float(np.sum(np.abs(s.state) ** 2)) for s in self.samples]
-        )
-        if np.max(np.abs(norms - 1.0)) > tol.STATE_NORM:
+        norms = np.sum(np.abs(self.states()) ** 2, axis=-1)
+        if not np.max(np.abs(norms - 1.0)) <= tol.STATE_NORM:  # NaN fails too
             raise DomainError(
                 f"a state sample is off the unit sphere beyond {tol.STATE_NORM:g}"
             )
@@ -86,17 +84,27 @@ def _sphere_rhs(alpha: float):
     return rhs
 
 
-def _rk4(state, t0, span, h, control, rhs, cut=math.inf, out=None, every=1):
-    """Renormalized RK4 over [t0, t0 + span] in the fewest uniform steps <= h.
+def _steps(span, h):
+    """The fewest uniform steps not longer than h over span: (n, span / n)."""
+    n = max(1, math.ceil(span / h - STEP_COUNT_SLACK))
+    return n, span / n
+
+
+def _rk4(state, t0, n, h, control, rhs, cut=math.inf, out=None, every=1, watch=False):
+    """n renormalized RK4 steps of h from (t0, state).
 
     The state is a 3-tuple of floats or complex amplitudes; control is
     t -> (c1, c2), read at stage times clamped to ``cut``; rhs is
     (x, y, z, c1, c2) -> derivative.  ``abs(v) * abs(v)`` is v*v exactly for
     a float and |v|^2 for a complex amplitude.  With ``out``, every
-    ``every``-th step and the last append (t, state).
+    ``every``-th step and the last append (t, state) on the clock t0 + i*h.
+
+    With ``watch``, the clock runs t += h, so a step's last stage time is
+    the next step's first, and the steps stop after the first one whose
+    state leaves the open quadrant x > 0, y > 0.  Returns (steps taken,
+    t and state before the last step, t and state after it); if no step
+    leaves, both pairs are the final ones.  Otherwise returns the state.
     """
-    n = max(1, math.ceil(span / h - STEP_COUNT_SLACK))
-    h = span / n
     h2, h6 = 0.5 * h, h / 6.0
     x, y, z = state
     t = t0
@@ -109,21 +117,29 @@ def _rk4(state, t0, span, h, control, rhs, cut=math.inf, out=None, every=1):
         k2x, k2y, k2z = rhs(x + h2 * k1x, y + h2 * k1y, z + h2 * k1z, c1b, c2b)
         k3x, k3y, k3z = rhs(x + h2 * k2x, y + h2 * k2y, z + h2 * k2z, c1b, c2b)
         k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z, c1c, c2c)
-        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z = z + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
+        nx = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        ny = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        nz = z + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
 
-        ax, ay, az = abs(x), abs(y), abs(z)
+        ax, ay, az = abs(nx), abs(ny), abs(nz)
         norm = math.sqrt(ax * ax + ay * ay + az * az)
         if not abs(norm - 1.0) <= RENORM_LIMIT:  # NaN fails too
             raise StepError(
                 f"renormalization correction {abs(norm - 1.0):.3e} at t={te:.6g}; "
                 "align steps with the control switching times"
             )
-        x, y, z = x / norm, y / norm, z / norm
-        t = t0 + (i + 1) * h
+        nx, ny, nz = nx / norm, ny / norm, nz / norm
+        if watch:
+            if not (nx > 0.0 and ny > 0.0):
+                return i + 1, t, (x, y, z), te, (nx, ny, nz)
+            t = te
+        else:
+            t = t0 + (i + 1) * h
+        x, y, z = nx, ny, nz
         if out is not None and ((i + 1) % every == 0 or i == n - 1):
             out.append((t, (x, y, z)))
+    if watch:
+        return n, t, (x, y, z), t, (x, y, z)
     return (x, y, z)
 
 
@@ -152,7 +168,7 @@ def propagate(state, control, rhs, T: float, h: float, switch_times=(), record_e
         # subinterval so piecewise-constant controls are read on the left
         # side of the switch; the nudge is far below the step error
         cut = t1 - max((t1 - t0) * tol.STAGE_TIME_NUDGE, 8.0 * sys.float_info.epsilon * abs(t1))
-        state = _rk4(state, t0, t1 - t0, h, control, rhs, cut, out, record_every)
+        state = _rk4(state, t0, *_steps(t1 - t0, h), control, rhs, cut, out, record_every)
         out[-1] = (min(out[-1][0], t1), state)  # t0 + n*h may round past t1
     return out
 
@@ -215,17 +231,21 @@ def first_exit(
     rhs = _sphere_rhs(alpha)
     state = psi0.as_tuple()
     t = 0.0
-    n = math.ceil(horizon / h)
-    hh = horizon / n
+    left = math.ceil(horizon / h)
+    hh = horizon / left
     # last sample at which each watched component was strictly positive
     last_pos: list[tuple[float, tuple] | None] = [None, None]
     if state[0] > 0.0:
         last_pos[0] = (0.0, state)
     if state[1] > 0.0:
         last_pos[1] = (0.0, state)
-    for _ in range(n):
-        state = _rk4(state, t, hh, h, control, rhs)
-        t += hh
+    while left:
+        # every step before the returned one stayed inside the quadrant
+        steps, t_prev, prev, t, state = _rk4(state, t, left, hh, control, rhs, watch=True)
+        left -= steps
+        for idx in (0, 1):
+            if prev[idx] > 0.0:
+                last_pos[idx] = (t_prev, prev)
         crossings = []
         for idx, face in ((0, ExitFace.PSI1), (1, ExitFace.PSI2)):
             if state[idx] > 0.0:
@@ -235,7 +255,7 @@ def first_exit(
                 hi_t = t
                 while hi_t - lo_t > tol.EXIT_TIME_BISECT:
                     mid_t = 0.5 * (lo_t + hi_t)
-                    mid_state = _rk4(lo_state, lo_t, mid_t - lo_t, h, control, rhs)
+                    mid_state = _rk4(lo_state, lo_t, *_steps(mid_t - lo_t, h), control, rhs)
                     if mid_state[idx] > 0.0:
                         lo_t, lo_state = mid_t, mid_state
                     else:

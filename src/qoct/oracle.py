@@ -213,8 +213,9 @@ def _block_hits(segments, alpha, z_min):
     """Every candidate of a block that touches the target ball.
 
     All live candidates advance one exact arc at a time.  An arc goes to the
-    scalar refinement only when its psi3 circle can reach z_min, tested with
-    a margin so that no arc the refinement would accept is discarded.
+    scalar refinement only when its psi3 circle can reach z_min and its first
+    peak or its end lies in the arc's window (``_arc_window``), tested with
+    margins so that no arc the refinement would accept is discarded.
 
     Returns a list of (hit time, candidate, segment, refined arc time).
     """
@@ -247,7 +248,10 @@ def _block_hits(segments, alpha, z_min):
             c_c = np.where(small, 0.5 * d * d, (1.0 - np.cos(th)) / w2)
         reach = A + np.hypot(B, C)
         near = (w2 >= tol.PULSE_NO_MOTION) & (reach >= z_min - tol.PULSE_SCREEN_MARGIN)
-        for i in np.flatnonzero(near).tolist():
+        cand = np.flatnonzero(near)
+        if cand.size:
+            cand = cand[_arc_window(A[cand], B[cand], C[cand], th[cand], z_min)]
+        for i in cand.tolist():
             t_hit = _first_ball_peak(
                 float(w[i]), float(A[i]), float(B[i]), float(C[i]), float(d[i]), z_min
             )
@@ -260,6 +264,23 @@ def _block_hits(segments, alpha, z_min):
         z[idx] = zs + s_c * gz + c_c * ggz
         elapsed[idx] += d
     return hits
+
+
+def _arc_window(A, B, C, th, z_min):
+    """Arcs on which ``_first_ball_peak`` can find a hit, as a boolean mask.
+
+    Along an arc of angle th = w*dur, psi3 = A + B cos(w t) + C sin(w t)
+    peaks first at the angle atan2(C, B) wrapped into [0, 2*pi).  The
+    refinement's candidates are the peaks within the arc and its end, so an
+    arc whose first peak lies past its end and whose end lies below z_min
+    yields nothing.  The margins keep every arc the scalar test keeps.
+    """
+    margin = tol.PULSE_WINDOW_MARGIN
+    phase = np.arctan2(C, B)
+    phase = np.where(phase < -margin, phase + 2.0 * np.pi, phase)
+    peak_inside = phase <= th + margin * (th + 2.0 * np.pi)
+    end_inside = A + B * np.cos(th) + C * np.sin(th) >= z_min - tol.PULSE_SCREEN_MARGIN
+    return peak_inside | end_inside
 
 
 def _first_ball_peak(w, A, B, C, dur, z_min):

@@ -116,6 +116,12 @@ PULSE_PEAK_BRACKET = 1e-4
 # hypot and the scalar refinement's can never discard a hit
 PULSE_SCREEN_MARGIN = 1e-12
 
+# the array window test of the pulse search passes an arc whose first psi3
+# peak comes within this share (plus this many radians) of the arc's end
+# angle, and treats a peak phase above -PULSE_WINDOW_MARGIN as no wrap, so
+# numpy's atan2 differing from libm's by an ulp can never discard a hit
+PULSE_WINDOW_MARGIN = 1e-9
+
 # RK4 stage times at a subinterval's right end are pulled inside it by this
 # share of its width, so a piecewise-constant control is read on the left
 STAGE_TIME_NUDGE = 1e-10

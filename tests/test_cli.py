@@ -8,7 +8,7 @@ import pytest
 
 import qoct.acceptance
 from qoct.acceptance import CriterionResult
-from qoct.cli import main
+from qoct.cli import SCHEMA_COMMENT, _csv, _fmt, main
 
 
 def run_cli(args, capsys):
@@ -143,6 +143,19 @@ def test_float_formatting_round_trips(capsys):
     from qoct import min_time_law
 
     assert doc["total_time"] == min_time_law(0.3).total_duration
+
+
+def test_csv_rows_format_like_each_value():
+    # all-float rows take one C-level format; anything else goes value by value
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**64, size=(300, 3), dtype=np.uint64)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e17, 0.1]
+    rows = [tuple(float(v) for v in row.view(np.float64)) for row in bits]
+    rows += [(a, -a, np.float64(a)) for a in specials]
+    rows += [(1.0, 2, 3.5), (True, 0.5, 1.0), (10**17, 0.5, 1.0), ("x", 0.5, 1.0),
+             (0.5, np.int64(2**60), 1.0), (0.5, 1.0), (0.5, 1.0, 2.0, 3.0), [0.25, 0.5, 1.0]]
+    want = [SCHEMA_COMMENT, "a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows]
+    assert _csv(["a", "b", "c"], rows) == "\n".join(want) + "\n"
 
 
 _ALPHA_FORMS = {

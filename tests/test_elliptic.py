@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoct import DomainError, complete_k, jacobi, jacobi_derived, sncndn
+from qoct import elliptic
 from qoct import tolerances as tol
 from qoct.elliptic import _agm
 from qoct.oracle import bisect_root, quadrature
@@ -190,3 +191,50 @@ def test_jacobi_identities_hold_across_the_modulus_range(u, k):
     sn, cn, dn = sncndn(u, k)
     assert abs(sn * sn + cn * cn - 1.0) <= 4e-15
     assert abs(dn * dn + k * k * sn * sn - 1.0) <= 4e-15
+
+
+# -- the kernel's one-entry memo and its per-modulus chains -------------------
+
+
+def test_interleaved_arguments_and_moduli_match_the_indexed_walk():
+    # alternating pairs, repeats, and the same u at moduli an ulp apart: the
+    # stored value must be returned only for an equal (u, k)
+    k_next = math.nextafter(0.8, 1.0)
+    pairs = [(1.7, 0.8), (1.7, 0.8), (-3.9, 0.3), (1.7, 0.8), (1.7, k_next),
+             (1.7, 0.8), (-3.9, 0.3), (-3.9, 0.3), (12.5, 0.999), (1.7, k_next)]
+    for u, k in pairs * 3:
+        assert bits(sncndn(u, k)) == bits(sncndn_indexed(u, k))
+    assert bits(sncndn(1.7, k_next)) != bits(sncndn(1.7, 0.8))
+
+
+def test_zero_and_negative_zero_are_not_mixed_up():
+    # 0.0 == -0.0, but sn keeps the sign of its argument
+    for k in (0.3, 0.8):
+        sncndn(0.4, k)
+        for u in (0.0, -0.0, 0.0, -0.0):
+            sn, cn, dn = sncndn(u, k)
+            assert math.copysign(1.0, sn) == math.copysign(1.0, u)
+            assert (cn, dn) == (1.0, 1.0)
+
+
+def test_degenerate_moduli_after_a_landen_value_at_the_same_argument():
+    u = 1.7
+    for k in (0.0, 1e-11, 1.0 - 1e-17, 1.0):
+        sncndn(u, 0.5)
+        assert bits(sncndn(u, k)) == bits(sncndn_indexed(u, k))
+    assert bits(sncndn(u, 0.0)) == bits((math.sin(u), math.cos(u), 1.0))
+
+
+def test_invalid_input_raises_after_a_stored_value():
+    sncndn(1.7, 0.8)
+    for u, k in ((math.nan, 0.8), (math.inf, 0.8), (1.7, math.nan), (1.7, 1.5)):
+        with pytest.raises(DomainError):
+            sncndn(u, k)
+
+
+def test_chain_table_stays_bounded():
+    for i in range(3 * elliptic._CHAIN_CACHE):
+        k = 0.1 + 0.8 * i / (3 * elliptic._CHAIN_CACHE)
+        assert bits(sncndn(0.9, k)) == bits(sncndn_indexed(0.9, k))
+    assert len(elliptic._CHAINS) <= elliptic._CHAIN_CACHE
+    assert complete_k(0.5) == math.pi / (2.0 * _agm(math.sqrt(0.75))[1][-1])

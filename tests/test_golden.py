@@ -12,8 +12,15 @@ It also holds ``min-energy`` JSON at alpha 0.5 and 2, an energy
 ``lift`` population history at alpha 0.7, recorded before the complex lift
 and the sphere shared one RK4 and K and the Jacobi functions one AGM chain.
 The first three must match byte for byte; the lift to 1e-14.
+
+``export_sweeps/`` holds the ``sweep-synthesis --n 10`` CSVs of both modes
+at alpha 0.5, 0.8 and 1.25 that the figure export writes, recorded by
+``make_export_sweeps.py`` before the energy-extremal RK4 scan ran its steps
+in one call and the Jacobi kernel kept its last value.  They must match
+byte for byte.
 """
 
+import gzip
 import json
 import pathlib
 
@@ -67,6 +74,23 @@ def test_energy_sweep_matches_golden_bytes(tmp_path):
     assert main(["sweep-synthesis", "--mode", "energy", "--n", "4", "--samples", "10",
                  "--alpha", "2", "--out", str(out)]) == 0
     assert out.read_text() == (DATA / "sweep_energy_alpha2.csv").read_text()
+
+
+@pytest.mark.parametrize("mode", ["energy", "time"])
+@pytest.mark.parametrize("alpha", ["0.5", "0.8", "1.25"])
+def test_export_sweep_matches_golden_bytes(mode, alpha, tmp_path):
+    # the sweeps of the figure export, recorded by make_export_sweeps.py
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-synthesis", "--mode", mode, "--n", "10", "--alpha", alpha,
+                 "--out", str(out)]) == 0
+    golden = DATA / "export_sweeps" / f"sweep_{mode}_n10_alpha{alpha}.csv.gz"
+    want = gzip.decompress(golden.read_bytes()).decode()
+    got = out.read_text()
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"line {line + 1} differs: {a!r} != {b!r}")
+    assert got == want
 
 
 def test_lift_populations_match_golden(tmp_path, capsys):

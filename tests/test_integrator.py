@@ -18,7 +18,10 @@ from qoct import (
     min_time_law,
     propagate_law,
 )
+from qoct import tolerances as tol
+from qoct.integrator import _rk4, _sphere_rhs, _steps
 from qoct.min_energy import EnergyExtremal, extremal_control
+from qoct.so3 import StateS2
 
 
 def test_plane_rotation_endpoint():
@@ -82,6 +85,96 @@ def test_first_exit_energy_extremals():
     assert np.linalg.norm(state - [0.0, 0.0, 1.0]) < 1e-8
 
 
+def _reference_first_exit(psi0, control, alpha, horizon, h):
+    """first_exit as one ``_rk4`` call per step on the clock t += hh.
+
+    Returns (face, exit time, exit state, whether a watched component ever
+    sat in the dead band [-EXIT_DEAD_BAND, 0]).
+    """
+    rhs = _sphere_rhs(alpha)
+    state = psi0.as_tuple()
+    t = 0.0
+    n = math.ceil(horizon / h)
+    hh = horizon / n
+    last_pos = [(0.0, state) if state[i] > 0.0 else None for i in (0, 1)]
+    dipped = False
+    for _ in range(n):
+        state = _rk4(state, t, 1, hh, control, rhs)
+        t += hh
+        crossings = []
+        for idx, face in ((0, ExitFace.PSI1), (1, ExitFace.PSI2)):
+            if state[idx] > 0.0:
+                last_pos[idx] = (t, state)
+            elif state[idx] < -tol.EXIT_DEAD_BAND and last_pos[idx] is not None:
+                lo_t, lo_state = last_pos[idx]
+                hi_t = t
+                while hi_t - lo_t > tol.EXIT_TIME_BISECT:
+                    mid_t = 0.5 * (lo_t + hi_t)
+                    mid_state = _rk4(lo_state, lo_t, *_steps(mid_t - lo_t, h), control, rhs)
+                    if mid_state[idx] > 0.0:
+                        lo_t, lo_state = mid_t, mid_state
+                    else:
+                        hi_t = mid_t
+                crossings.append((0.5 * (lo_t + hi_t), face, lo_state))
+            else:
+                dipped = dipped or state[idx] >= -tol.EXIT_DEAD_BAND
+        if crossings:
+            t_exit, face, exit_state = min(crossings, key=lambda c: c[0])
+            return face, t_exit, np.array(exit_state), dipped
+    raise HorizonError("no crossing")
+
+
+def _dip(y0, steps):
+    """From psi2 = y0 > 0, psi2 falls by ~1e-12 per step of 1e-3 for ``steps``
+    steps into the dead band, rises back, then crosses for good."""
+    psi0 = StateS2(math.sqrt(1.0 - y0 * y0), y0, 0.0)
+
+    def control(t):
+        if t < steps * 1e-3 + 2e-4:
+            return -1e-9, 0.0
+        return (3e-8, 0.0) if t < 0.05 else (-1.0, 0.2)
+
+    return psi0, control
+
+
+def _first_exit_cases():
+    crit = math.sqrt(1.0 - 0.25) / 0.5
+    cases = {
+        "sub-critical": (SOURCE, extremal_control(EnergyExtremal(0.5, 0.6 * crit)), 0.5),
+        "super-critical": (SOURCE, extremal_control(EnergyExtremal(0.5, 1.3 * crit)), 0.5),
+        "super-critical-near": (SOURCE, extremal_control(EnergyExtremal(0.5, 1.0001 * crit)), 0.5),
+        "alpha-above-one": (SOURCE, extremal_control(EnergyExtremal(2.0, 0.3)), 2.0),
+        "alpha-above-one-small": (SOURCE, extremal_control(EnergyExtremal(2.0, 0.02)), 2.0),
+        "critical": (SOURCE, extremal_control(EnergyExtremal(0.5, crit)), 0.5),
+        "alpha-one": (SOURCE, extremal_control(EnergyExtremal(1.0, 0.9)), 1.0),
+        "alpha-one-target": (SOURCE, extremal_control(EnergyExtremal(1.0, 3.0**-0.5)), 1.0),
+        "plane-rotation": (SOURCE, lambda t: (1.0, 0.0), 1.0),
+        "dead-band-recover": (*_dip(2e-12, 5), 1.3),
+        "dead-band-cross": (*_dip(2e-12, 40), 0.7),
+        "no-exit": (StateS2(0.6, 0.8, 0.0), lambda t: (0.0, 0.0), 1.0),
+    }
+    return cases
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3])
+@pytest.mark.parametrize("name", list(_first_exit_cases()))
+def test_first_exit_matches_the_one_step_scan_bit_for_bit(name, h):
+    psi0, control, alpha = _first_exit_cases()[name]
+    horizon = 40.0
+    try:
+        want = _reference_first_exit(psi0, control, alpha, horizon, h)
+    except HorizonError:
+        with pytest.raises(HorizonError):
+            first_exit(psi0, control, alpha, horizon, h)
+        return
+    face, t_exit, state = first_exit(psi0, control, alpha, horizon, h)
+    assert face is want[0]
+    assert t_exit.hex() == want[1].hex()
+    assert [v.hex() for v in state.tolist()] == [v.hex() for v in want[2].tolist()]
+    if name.startswith("dead-band"):
+        assert want[3]
+
+
 def test_first_exit_horizon_error():
     # zero control holds the state at the source; nothing ever crosses
     with pytest.raises(HorizonError):
@@ -101,6 +194,20 @@ def test_trajectory_validation():
         Trajectory((later, good))
     with pytest.raises(DomainError):
         Trajectory((good, TrajectorySample(2.0, np.array([1.0, 1.0, 0.0]), 0, 0)))
+
+
+def test_trajectory_norm_check_covers_complex_and_nan_samples():
+    unit = TrajectorySample(0.0, np.array([0.6j, 0.8 + 0.0j, 0.0j]), 1.0, 0.0)
+    Trajectory((unit,))
+    off = np.array([0.6j, 0.8 + 0.0j, 1e-4j])  # |psi|^2 = 1 + 1e-8
+    for state in (off, np.array([0.6, 0.8, math.nan])):
+        with pytest.raises(DomainError, match="unit sphere"):
+            Trajectory((unit, TrajectorySample(1.0, state, 1.0, 0.0)))
+    # one bad sample among many is found
+    many = [TrajectorySample(float(i), unit.state, 1.0, 0.0) for i in range(50)]
+    many[31] = TrajectorySample(31.0, off, 1.0, 0.0)
+    with pytest.raises(DomainError, match="unit sphere"):
+        Trajectory(tuple(many))
 
 
 def test_integrate_monitors():

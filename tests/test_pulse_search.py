@@ -20,6 +20,7 @@ from qoct.oracle import (
     CORNER_SHARE,
     Splitmix64,
     _BLOCK,
+    _arc_window,
     _draw_block,
     _first_ball_peak,
     sample_search_min_time,
@@ -137,6 +138,63 @@ def test_long_pulses_equal_the_reference():
     kwargs = {"n_candidates": 150, "max_segments": 300, "seed": 5, "target_radius": 0.3}
     got = sample_search_min_time(1.3, **kwargs)
     assert got[1] is not None and repr(got) == repr(_reference_search(1.3, **kwargs))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.0005, 0.9995])
+def test_search_near_one_equals_the_reference(alpha):
+    # near alpha = 1 most arcs that pass the reach screen peak outside their
+    # window, so the window test decides which arcs get refined
+    kwargs = {"n_candidates": 700, "max_segments": 5, "seed": 31, "target_radius": 1e-3}
+    got = sample_search_min_time(alpha, **kwargs)
+    assert got[1] is not None and repr(got) == repr(_reference_search(alpha, **kwargs))
+
+
+def _scalar_first_peak(w, B, C):
+    """The first peak time of A + B cos(w t) + C sin(w t), as the refinement
+    computes it."""
+    t_peak = math.atan2(C, B) / w
+    while t_peak < 0.0:
+        t_peak += 2.0 * math.pi / w
+    return t_peak
+
+
+def test_window_discards_only_arcs_without_a_hit():
+    # random arcs, and arcs that end at, or an ulp off, their first peak or
+    # z_min, with peak phases at and next to 0 and pi
+    rng = np.random.default_rng(7)
+    arcs, plain = [], []
+    for i in range(4000):
+        w = float(rng.uniform(0.05, 4.0))
+        r, ang = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(-math.pi, math.pi))
+        B, C = r * math.cos(ang), r * math.sin(ang)
+        if i % 10 == 1:
+            B = math.copysign(r, rng.uniform(-1.0, 1.0))
+            C = float(rng.choice([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17]))
+        A = float(rng.uniform(-1.0, 1.0))
+        t_peak = _scalar_first_peak(w, B, C)
+        dur = float(rng.uniform(0.0, 4.0 * math.pi / w))
+        z_min = A + float(rng.uniform(-r, r))
+        plain.append(i % 2 == 0)
+        if i % 2:
+            dur = abs(float(rng.choice([
+                t_peak, math.nextafter(t_peak, 0.0), math.nextafter(t_peak, math.inf),
+                t_peak * (1.0 + 1e-12), t_peak * (1.0 - 1e-12), dur,
+            ])))
+            end = A + B * math.cos(w * dur) + C * math.sin(w * dur)
+            z_min = float(rng.choice([A + math.hypot(B, C), end, math.nextafter(end, -1.0),
+                                      math.nextafter(end, 2.0), z_min]))
+        arcs.append((w, A, B, C, dur, z_min))
+    w, A, B, C, dur, z_min = (np.array(col) for col in zip(*arcs))
+    kept = np.concatenate([
+        _arc_window(A[i:i + 1], B[i:i + 1], C[i:i + 1], w[i:i + 1] * dur[i:i + 1], z_min[i])
+        for i in range(len(arcs))
+    ])
+    hits = np.array([_first_ball_peak(*arc) is not None for arc in arcs])
+    assert not np.any(hits & ~kept)
+    # the window discards nearly all random arcs whose circle reaches z_min
+    # but that hold no hit
+    empty = np.array(plain) & (A + np.hypot(B, C) >= z_min) & ~hits
+    assert np.count_nonzero(empty & ~kept) >= 0.95 * np.count_nonzero(empty) > 0
 
 
 # -- the block draw -----------------------------------------------------------
