@@ -7,7 +7,14 @@ together with independent verification oracles and a resonant lift back to
 the full complex dynamics.
 """
 
-from .elliptic import JacobiTriple, complete_k, jacobi, jacobi_derived, sncndn
+from .elliptic import (
+    JacobiTriple,
+    complete_k,
+    jacobi,
+    jacobi_derived,
+    sncndn,
+    sncndn_bulk,
+)
 from .errors import (
     BracketError,
     ConsistencyError,
@@ -21,7 +28,14 @@ from .errors import (
     StepError,
 )
 from .integrator import ExitFace, Trajectory, TrajectorySample, first_exit, integrate
-from .lift import ComplexState, LevelSpec, interaction_picture, lift_controls, simulate_complex
+from .lift import (
+    ComplexState,
+    LevelSpec,
+    interaction_picture,
+    lift_controls,
+    lift_controls_bulk,
+    simulate_complex,
+)
 from .min_energy import (
     EnergyExtremal,
     ExtremalSample,
@@ -32,6 +46,7 @@ from .min_energy import (
     energy_sweep,
     exit_face,
     extremal_control,
+    extremal_control_bulk,
     m3_bounds,
     solve_m3,
     transfer_endpoint,

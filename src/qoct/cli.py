@@ -16,13 +16,14 @@ import numpy as np
 
 from . import acceptance
 from . import tolerances as tol
-from .errors import QoctError
-from .lift import ComplexState, LevelSpec, lift_controls, simulate_complex
+from .errors import QoctError, require
+from .lift import ComplexState, LevelSpec, lift_controls, lift_controls_bulk, simulate_complex
 from .min_energy import (
     EnergyExtremal,
     classify,
     energy_sweep,
     extremal_control,
+    extremal_control_bulk,
     m3_bounds,
     solve_m3,
     transfer_time,
@@ -99,11 +100,15 @@ def _law_json(law) -> dict:
     }
 
 
-def _parse_triple(text: str) -> tuple[float, float, float]:
+def _parse_floats(text: str, count: int) -> tuple[float, ...]:
+    """``count`` comma-separated numbers; anything else raises QoctError."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise QoctError(f"expected three comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    if len(parts) != count:
+        raise QoctError(f"expected {count} comma-separated values, got {text!r}")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise QoctError(f"expected {count} comma-separated numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,7 @@ def _cmd_min_time(args) -> int:
     if args.target is None:
         law = min_time_law(args.alpha)
     else:
-        x, y, z = _parse_triple(args.target)
+        x, y, z = _parse_floats(args.target, 3)
         law = synthesis_law(args.alpha, StateS2(x, y, z))
     _write(_to_json(_law_json(law)), args.out)
     return 0
@@ -174,18 +179,19 @@ def _cmd_sweep_alpha(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    e1, e2, e3 = _parse_triple(args.energies)
-    x1, x2 = (float(p) for p in args.phases.split(","))
-    spec = LevelSpec(e1, e2, e3, x1, x2)
+    spec = LevelSpec(*_parse_floats(args.energies, 3), *_parse_floats(args.phases, 2))
+    require("step h", args.h)
     if args.mode == "time":
         law = min_time_law(args.alpha)
         fn, switches = law.as_control()
         T = law.total_duration
         u1 = lambda t: fn(t)[0]
         u2 = lambda t: fn(t)[1]
+        bulk = law.control_bulk
     else:
         m3 = solve_m3(args.alpha, args.tol)
-        ctrl = extremal_control(EnergyExtremal(args.alpha, m3))
+        extremal = EnergyExtremal(args.alpha, m3)
+        ctrl, bulk = extremal_control(extremal), extremal_control_bulk(extremal)
         T = transfer_time(args.alpha, m3)
         switches = ()
         u1 = lambda t: ctrl(t)[0]
@@ -195,6 +201,7 @@ def _cmd_lift(args) -> int:
     traj = simulate_complex(
         psi0, f1, f2, spec, args.alpha, T, args.h, switch_times=switches,
         record_every=max(1, math.ceil(T / args.h / 400)),
+        bulk_control=None if bulk is None else lift_controls_bulk(bulk, spec),
     )
     final_population = float(np.abs(traj.endpoint[2]) ** 2)
     traj_file = None

@@ -22,6 +22,16 @@ its last Landen result: on a uniform step grid the last RK4 stage of one
 step and the first stage of the next ask for the same argument, and an equal
 ``(u, k)`` returns the stored tuple.  The AGM chains are kept per modulus in
 a bounded table.
+
+``sncndn_bulk`` is its array twin for moduli in the Landen range, used where
+a whole grid of arguments is known at once.  It equals ``sncndn`` element by
+element, bit for bit, by construction: the sines and cosines come from the
+same ``math`` functions, called per element, and numpy does only the
+correctly rounded ``+ - * /`` and ``sqrt`` of the scalar path, in its order
+(and the exact ``copysign`` for its sign test).
+numpy's own transcendental ufuncs are not used: they are not required to
+match ``math`` (``np.tanh`` and ``np.cosh`` differ from it on 20 % and 24 %
+of uniform arguments in [-20, 20], numpy 2.4 on x86-64).
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import cos, cosh, isfinite, sin, sqrt, tanh
+
+import numpy as np
 
 from . import tolerances as tol
 from .errors import DomainError
@@ -169,6 +181,63 @@ def sncndn(u: float, k: float) -> tuple[float, float, float]:
     last = sn, c * sn, dn
     _last = (u, k, last)
     return last
+
+
+def landen_range(k: float) -> bool:
+    """Whether ``sncndn`` evaluates modulus k by the Landen recurrence.
+
+    Outside it (k within ``ELLIPTIC_DEGENERATE`` of 0, or within
+    ``ELLIPTIC_DEGENERATE_ONE`` of 1, or not a modulus at all) the scalar
+    kernel takes the trigonometric or hyperbolic closed forms, which
+    ``sncndn_bulk`` does not serve.
+    """
+    return _DEGENERATE <= k and 1.0 - k >= _DEGENERATE_ONE
+
+
+def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sncndn`` over a 1-d array of arguments, equal to it bit for bit.
+
+    Args:
+        u: 1-d array of finite real arguments.
+        k: modulus in the Landen range (``landen_range(k)``).
+
+    Returns:
+        Three float arrays (sn, cn, dn), each element equal to
+        ``sncndn(u[i], k)``.
+    """
+    if not landen_range(k):
+        raise DomainError(f"sncndn_bulk requires a Landen-range modulus, got {k!r}")
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise DomainError("Jacobi function arguments must be finite")
+    scale, chain = _landen_chain(k)
+    phase = (u * scale).tolist()
+    sin_phase = np.fromiter(map(sin, phase), float, len(phase))
+    cn = np.fromiter(map(cos, phase), float, len(phase))
+    small = np.abs(sin_phase) < _SN_FLOOR
+    if small.any():
+        # sn = u and cn = dn = 1 there, as in the scalar kernel; the
+        # recurrence would overflow to nan on these elements
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sn, cn, dn = _landen_bulk(sin_phase, cn, scale, chain)
+        return np.where(small, u, sn), np.where(small, 1.0, cn), np.where(small, 1.0, dn)
+    return _landen_bulk(sin_phase, cn, scale, chain)
+
+
+def _landen_bulk(sin_phase, cos_phase, scale, chain):
+    """The backward Landen recurrence of ``sncndn``, one array operation per
+    float operation, in the same order."""
+    dn = 1.0
+    a = cos_phase / sin_phase
+    c = scale * a
+    for b, e in chain:
+        a *= c
+        c *= dn
+        dn = (e + a) / (b + a)
+        a = c / b
+    # sign(sn) = sign(sin(phase)), which is never zero here
+    sn = np.copysign(1.0 / np.sqrt(c * c + 1.0), sin_phase)
+    return sn, c * sn, dn
 
 
 def jacobi(u: float, k: float) -> JacobiTriple:

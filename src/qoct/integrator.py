@@ -6,6 +6,13 @@ States are renormalized to the sphere after every step; a large correction
 means a step straddled a control discontinuity, which is reported instead of
 silently degrading the order.  The same RK4 (``propagate``) also drives the
 complex three-level amplitudes of ``qoct.lift``.
+
+Open-loop controls can be evaluated in bulk.  Given ``bulk_control``, a
+function ts -> (c1s, c2s) of a float array, the integrator builds the stage
+times of up to ``BULK_STEPS`` steps at once, exactly as ``_rk4`` forms them,
+evaluates them in one call and hands ``_rk4`` a table keyed by stage time in
+place of the control callable.  The scalar ``control`` still serves the
+recorded samples and the exit bisection.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from . import tolerances as tol
 from .errors import DomainError, HorizonError, StepError, require
 from .so3 import StateS2
 from .tolerances import RENORM_LIMIT, STEP_COUNT_SLACK
+
+# steps per bulk control evaluation: the stage-time table holds one chunk,
+# so its memory does not grow with the integration time
+BULK_STEPS = 256
 
 
 class ExitFace(enum.Enum):
@@ -90,6 +101,58 @@ def _steps(span, h):
     return n, span / n
 
 
+class _StageTable(dict):
+    """Control values by stage time, one chunk of steps at a time.
+
+    ``_rk4`` reads it through ``__getitem__`` in place of the control
+    callable.  Stages are read in step order, so a time missing from the
+    current chunk belongs to the next one: the miss drops the chunk and
+    evaluates the next stage-time array of ``chunks`` with ``bulk``.
+    """
+
+    def __init__(self, bulk, chunks):
+        super().__init__()
+        self._bulk = bulk
+        self._chunks = chunks
+
+    def __missing__(self, t):
+        self.clear()
+        ts = next(self._chunks, None)
+        if ts is not None:
+            c1, c2 = self._bulk(ts)
+            self.update(zip(ts.tolist(), zip(c1.tolist(), c2.tolist())))
+        if t not in self:
+            raise KeyError(f"stage time {t!r} is not on the bulk control grid")
+        return self[t]
+
+
+def _grid_stage_times(t0, n, h, cut):
+    """The stage times of ``_rk4`` on its clock t0 + i*h, clamped to cut,
+    as arrays of at most ``BULK_STEPS`` steps.
+
+    A step's last stage time is usually the next step's first; the array
+    holds it once.
+    """
+    h2 = 0.5 * h
+    for j in range(0, n, BULK_STEPS):
+        t = t0 + np.arange(j, min(j + BULK_STEPS, n), dtype=float) * h
+        te = t + h
+        unshared = np.append(te[:-1] != t[1:], True)
+        yield np.minimum(np.concatenate((t, t + h2, te[unshared])), cut)
+
+
+def _running_stage_times(t, n, h):
+    """The stage times of ``_rk4``'s watch clock t += h, as arrays of at
+    most ``BULK_STEPS`` steps."""
+    h2 = 0.5 * h
+    clock = np.full(BULK_STEPS + 1, h)
+    for j in range(0, n, BULK_STEPS):
+        clock[0] = t
+        ends = np.add.accumulate(clock[: min(BULK_STEPS, n - j) + 1])
+        yield np.concatenate((ends, ends[:-1] + h2))
+        t = ends[-1]
+
+
 def _rk4(state, t0, n, h, control, rhs, cut=math.inf, out=None, every=1, watch=False):
     """n renormalized RK4 steps of h from (t0, state).
 
@@ -143,7 +206,10 @@ def _rk4(state, t0, n, h, control, rhs, cut=math.inf, out=None, every=1, watch=F
     return (x, y, z)
 
 
-def propagate(state, control, rhs, T: float, h: float, switch_times=(), record_every=1):
+def propagate(
+    state, control, rhs, T: float, h: float, switch_times=(), record_every=1,
+    bulk_control=None,
+):
     """Renormalized RK4 from (0, state) to T; steps never straddle a switch.
 
     Args:
@@ -155,6 +221,9 @@ def propagate(state, control, rhs, T: float, h: float, switch_times=(), record_e
             largest uniform step not exceeding h.
         switch_times: interior discontinuity times.
         record_every: thin the records (subinterval ends always kept).
+        bulk_control: optional array twin of control, ts -> (c1s, c2s),
+            equal to it element by element; the steps then read their
+            stage controls from it, one chunk of steps per call.
 
     Returns:
         List of (t, state) records, starting with (0, state).
@@ -168,7 +237,11 @@ def propagate(state, control, rhs, T: float, h: float, switch_times=(), record_e
         # subinterval so piecewise-constant controls are read on the left
         # side of the switch; the nudge is far below the step error
         cut = t1 - max((t1 - t0) * tol.STAGE_TIME_NUDGE, 8.0 * sys.float_info.epsilon * abs(t1))
-        state = _rk4(state, t0, *_steps(t1 - t0, h), control, rhs, cut, out, record_every)
+        n, hh = _steps(t1 - t0, h)
+        stage = control
+        if bulk_control is not None:
+            stage = _StageTable(bulk_control, _grid_stage_times(t0, n, hh, cut)).__getitem__
+        state = _rk4(state, t0, n, hh, stage, rhs, cut, out, record_every)
         out[-1] = (min(out[-1][0], t1), state)  # t0 + n*h may round past t1
     return out
 
@@ -182,6 +255,7 @@ def integrate(
     switch_times=(),
     record_every: int = 1,
     monitors=None,
+    bulk_control=None,
 ) -> Trajectory:
     """Propagate psi' = u1*F1 + u2*F2 with RK4 and per-step renormalization.
 
@@ -189,7 +263,8 @@ def integrate(
         psi0: initial unit state.
         control: callable t -> (u1, u2); piecewise smooth.
         alpha: nonisotropy factor (> 0).
-        T, h, switch_times, record_every: as for ``propagate``.
+        T, h, switch_times, record_every, bulk_control: as for ``propagate``;
+            control alone gives the sampled (u1, u2).
         monitors: optional dict name -> fn(t, state_tuple, u1, u2).
 
     Returns:
@@ -204,7 +279,8 @@ def integrate(
         return TrajectorySample(t, np.array(state), u1, u2, mon)
 
     records = propagate(
-        psi0.as_tuple(), control, _sphere_rhs(alpha), T, h, switch_times, record_every
+        psi0.as_tuple(), control, _sphere_rhs(alpha), T, h, switch_times, record_every,
+        bulk_control,
     )
     return Trajectory(tuple(sample(t, state) for t, state in records))
 
@@ -215,12 +291,15 @@ def first_exit(
     alpha: float,
     horizon: float,
     h: float,
+    bulk_control=None,
 ) -> tuple[ExitFace, float, np.ndarray]:
     """Locate the first crossing of the faces psi1 = 0 or psi2 = 0.
 
     The crossing is detected by a strict sign change between consecutive
     steps and then bisected in time to a width of 1e-11.  Starting exactly on
-    a face (psi2 = 0 at the source) does not count as a crossing.
+    a face (psi2 = 0 at the source) does not count as a crossing.  With
+    ``bulk_control`` (as for ``propagate``) the scan's steps read their
+    stage controls from it; the bisection calls control.
 
     Returns:
         (face, exit time, state at the exit time).
@@ -233,6 +312,9 @@ def first_exit(
     t = 0.0
     left = math.ceil(horizon / h)
     hh = horizon / left
+    scan = control
+    if bulk_control is not None:
+        scan = _StageTable(bulk_control, _running_stage_times(t, left, hh)).__getitem__
     # last sample at which each watched component was strictly positive
     last_pos: list[tuple[float, tuple] | None] = [None, None]
     if state[0] > 0.0:
@@ -241,7 +323,7 @@ def first_exit(
         last_pos[1] = (0.0, state)
     while left:
         # every step before the returned one stayed inside the quadrant
-        steps, t_prev, prev, t, state = _rk4(state, t, left, hh, control, rhs, watch=True)
+        steps, t_prev, prev, t, state = _rk4(state, t, left, hh, scan, rhs, watch=True)
         left -= steps
         for idx in (0, 1):
             if prev[idx] > 0.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,13 @@ class LevelSpec:
     e3: float
     xi1: float = 0.0
     xi2: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(
+                    f"level spec {f.name} must be finite, got {getattr(self, f.name)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,34 @@ def lift_controls(u1, u2, spec: LevelSpec):
     return f1, f2
 
 
+def _phasors(phase: np.ndarray) -> np.ndarray:
+    """``cmath.exp(1j * p)`` for each element p of a float array."""
+    z = (1j * phase).tolist()
+    return np.fromiter(map(cmath.exp, z), complex, len(z))
+
+
+def lift_controls_bulk(bulk_control, spec: LevelSpec):
+    """Array twin of ``lift_controls``: ts -> (F1s, F2s) complex arrays.
+
+    Args:
+        bulk_control: function ts -> (u1s, u2s) of a 1-d float array.
+        spec: level energies and phases.
+
+    Each element equals the scalar pulse at that time, bit for bit: the
+    phases are the same float products and sums, their exponentials come
+    from ``cmath.exp`` per element, and numpy multiplies a real by a complex
+    number as Python does, (u + 0j) * z.
+    """
+    w1 = spec.e2 - spec.e1
+    w2 = spec.e3 - spec.e2
+
+    def pulses(ts):
+        u1, u2 = bulk_control(ts)
+        return u1 * _phasors(w1 * ts + spec.xi1), u2 * _phasors(w2 * ts + spec.xi2)
+
+    return pulses
+
+
 def _schrodinger_rhs(spec: LevelSpec, alpha: float):
     """i * da/dt = H a, with couplings f1 and alpha*f2 on the off-diagonals."""
     e1, e2, e3 = spec.e1, spec.e2, spec.e3
@@ -97,12 +132,15 @@ def simulate_complex(
     h: float,
     switch_times=(),
     record_every: int = 1,
+    bulk_control=None,
 ) -> Trajectory:
     """RK4 integration of the driven three-level Schroedinger equation.
 
     The same renormalized RK4 as ``integrate``: the norm is rescaled to one
     after every step, and steps never straddle a control switching time
-    passed in ``switch_times``.  Samples record |f1(t)| and |f2(t)|.
+    passed in ``switch_times``.  Samples record |f1(t)| and |f2(t)|.  With
+    ``bulk_control``, ts -> (F1s, F2s) as from ``lift_controls_bulk``, the
+    steps read their pulses from it (see ``integrator.propagate``).
 
     Returns:
         Trajectory of complex state samples; the final population of level
@@ -117,6 +155,7 @@ def simulate_complex(
         h,
         switch_times,
         record_every,
+        bulk_control,
     )
     return Trajectory(
         tuple(

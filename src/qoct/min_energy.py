@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .elliptic import complete_k_comp, sncndn
+from .elliptic import complete_k_comp, landen_range, sncndn, sncndn_bulk
 from .errors import BracketError, DomainError, RegimeError, require
 from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .oracle import quadrature
@@ -205,6 +205,41 @@ def extremal_control(e: EnergyExtremal):
         return cn / dn, _w * (sn / dn)
 
     return ctrl_a
+
+
+def extremal_control_bulk(e: EnergyExtremal):
+    """Array twin of ``extremal_control``: ts -> (u1s, u2s), or None.
+
+    Each element equals the closure's value at that time, bit for bit: the
+    same products and quotients of ``sncndn_bulk``'s arrays.  The twin
+    serves the sub-critical, super-critical and alpha > 1 regimes at moduli
+    in the Landen range; the zero and critical regimes and degenerate moduli
+    get None, and their callers keep the scalar closure.
+    """
+    reg, k, rate = e.regime, e.modulus, e.rate
+    if reg in (Regime.ZERO, Regime.CRITICAL) or not landen_range(k):
+        return None
+    if reg is Regime.SUB_CRITICAL:
+
+        def bulk_s(ts):
+            sn, _, dn = sncndn_bulk(rate * ts, k)
+            return dn, k * sn
+
+        return bulk_s
+    if reg is Regime.SUPER_CRITICAL:
+
+        def bulk_p(ts):
+            sn, cn, _ = sncndn_bulk(rate * ts, k)
+            return cn, sn
+
+        return bulk_p
+    w = e.comodulus
+
+    def bulk_a(ts):
+        sn, cn, dn = sncndn_bulk(rate * ts, k)
+        return cn / dn, w * (sn / dn)
+
+    return bulk_a
 
 
 def transfer_time(alpha: float, m3_0: float) -> float:
@@ -458,8 +493,11 @@ def energy_sweep(alpha: float, n: int, samples: int) -> list[tuple[float, Trajec
     for i in range(n):
         m3 = m3_star * math.exp(3.0 * (2.0 * ((i + 0.5) / n) - 1.0))
         e = EnergyExtremal(alpha, m3)
-        ctrl = extremal_control(e)
-        _, t_exit, _ = first_exit(SOURCE, ctrl, alpha, _horizon(e), h)
+        ctrl, bulk = extremal_control(e), extremal_control_bulk(e)
+        _, t_exit, _ = first_exit(SOURCE, ctrl, alpha, _horizon(e), h, bulk_control=bulk)
         every = max(1, math.ceil(t_exit / h / samples))
-        out.append((m3, integrate(SOURCE, ctrl, alpha, t_exit, h, record_every=every)))
+        traj = integrate(
+            SOURCE, ctrl, alpha, t_exit, h, record_every=every, bulk_control=bulk
+        )
+        out.append((m3, traj))
     return out

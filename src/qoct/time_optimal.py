@@ -75,6 +75,19 @@ class ControlLaw:
         seg = self.segments[bisect_right(self._switches, t)]
         return seg.u1, seg.u2
 
+    def control_bulk(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Array twin of ``control``: (u1s, u2s) at the times of a 1-d array.
+
+        ``np.searchsorted(..., side="right")`` is ``bisect_right``'s rule,
+        so each element equals ``control`` at that time.
+        """
+        if not self.segments:
+            return np.zeros(len(ts)), np.zeros(len(ts))
+        idx = np.searchsorted(self._switches, ts, side="right")
+        u1 = np.array([s.u1 for s in self.segments], dtype=float)
+        u2 = np.array([s.u2 for s in self.segments], dtype=float)
+        return u1[idx], u2[idx]
+
     def as_control(self):
         """(callable t -> (u1, u2), interior switch times) for the integrator."""
         return self.control, self.switch_times()

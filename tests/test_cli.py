@@ -177,3 +177,22 @@ def test_bad_alpha_exits_2_with_library_message(form, alpha, capsys):
     assert main(_ALPHA_FORMS[form] + ["--alpha", alpha]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: nonisotropy factor must be finite and > 0, got ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,2,x"],
+        ["min-time", "--alpha", "1", "--target", "1,0,x"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,2,3", "--phases", "1,2,3"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,2,3", "--phases", "1,y"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,2,3", "--h", "0"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,2,3", "--h", "nan"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,2,3", "--h=-1e-3"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies", "1,inf,3"],
+        ["lift", "--alpha", "1", "--mode", "energy", "--energies", "1,2,3", "--phases", "nan,0"],
+    ],
+)
+def test_malformed_numbers_exit_2_with_an_error_line(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -18,6 +18,11 @@ at alpha 0.5, 0.8 and 1.25 that the figure export writes, recorded by
 ``make_export_sweeps.py`` before the energy-extremal RK4 scan ran its steps
 in one call and the Jacobi kernel kept its last value.  They must match
 byte for byte.
+
+``lift_goldens/`` holds ``lift --trajectory-out`` population CSVs in time mode
+at alpha 0.5, 0.8, 1.25 and 1.9 and in energy mode at 0.8, with their final
+populations, recorded by ``make_lift_goldens.py`` before the RK4 read its
+controls from bulk tables.  They must match byte for byte.
 """
 
 import gzip
@@ -106,3 +111,20 @@ def test_lift_populations_match_golden(tmp_path, capsys):
     b = np.genfromtxt(golden, delimiter=",", skip_header=2)
     assert a.shape == b.shape
     assert np.max(np.abs(a - b)) <= 1e-14
+
+
+LIFT_CASES = [("time", "0.5"), ("time", "0.8"), ("time", "1.25"), ("time", "1.9"),
+              ("energy", "0.8")]
+
+
+@pytest.mark.parametrize("mode, alpha", LIFT_CASES)
+def test_lift_matches_golden_bytes(mode, alpha, tmp_path, capsys):
+    # recorded by make_lift_goldens.py
+    traj = tmp_path / "lift.csv"
+    assert main(["lift", "--mode", mode, "--alpha", alpha, "--energies=-1,0.3,0.7",
+                 "--phases", "0.3,-1", "--trajectory-out", str(traj)]) == 0
+    name = f"lift_{mode}_alpha{alpha}"
+    finals = json.loads((DATA / "lift_goldens" / "final_populations.json").read_text())
+    assert json.loads(capsys.readouterr().out)["final_population"] == float(finals[name])
+    want = gzip.decompress((DATA / "lift_goldens" / f"{name}.csv.gz").read_bytes())
+    assert traj.read_bytes() == want

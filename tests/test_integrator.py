@@ -1,6 +1,7 @@
 """RK4 propagation against exact rotations, order checks and event location."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from qoct import (
     propagate_law,
 )
 from qoct import tolerances as tol
-from qoct.integrator import _rk4, _sphere_rhs, _steps
-from qoct.min_energy import EnergyExtremal, extremal_control
+from qoct import integrator
+from qoct.integrator import _rk4, _sphere_rhs, _steps, propagate
+from qoct.min_energy import EnergyExtremal, extremal_control, extremal_control_bulk
 from qoct.so3 import StateS2
 
 
@@ -173,6 +175,92 @@ def test_first_exit_matches_the_one_step_scan_bit_for_bit(name, h):
     assert [v.hex() for v in state.tolist()] == [v.hex() for v in want[2].tolist()]
     if name.startswith("dead-band"):
         assert want[3]
+
+
+def _looped(control):
+    """A bulk twin of any control: the control itself, element by element."""
+
+    def bulk(ts):
+        c1, c2 = zip(*map(control, ts.tolist()))
+        return np.array(c1, dtype=float), np.array(c2, dtype=float)
+
+    return bulk
+
+
+def _first_exit_twins():
+    """The extremal cases' own bulk twins, where the extremal has one."""
+    crit = math.sqrt(1.0 - 0.25) / 0.5
+    extremals = {
+        "sub-critical": EnergyExtremal(0.5, 0.6 * crit),
+        "super-critical": EnergyExtremal(0.5, 1.3 * crit),
+        "super-critical-near": EnergyExtremal(0.5, 1.0001 * crit),
+        "alpha-above-one": EnergyExtremal(2.0, 0.3),
+        "alpha-above-one-small": EnergyExtremal(2.0, 0.02),
+    }
+    return {name: extremal_control_bulk(e) for name, e in extremals.items()}
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3])
+@pytest.mark.parametrize("name", list(_first_exit_cases()))
+def test_first_exit_with_a_bulk_twin_is_bit_identical(name, h, monkeypatch):
+    # small chunks put chunk boundaries inside the dead-band dips, where the
+    # scan restarts on the same table
+    monkeypatch.setattr(integrator, "BULK_STEPS", 37)
+    psi0, control, alpha = _first_exit_cases()[name]
+    twins = _first_exit_twins()
+    assert None not in twins.values()
+    bulk = twins.get(name) or _looped(control)
+    try:
+        want = first_exit(psi0, control, alpha, 40.0, h)
+    except HorizonError:
+        with pytest.raises(HorizonError):
+            first_exit(psi0, control, alpha, 40.0, h, bulk_control=bulk)
+        return
+    face, t_exit, state = first_exit(psi0, control, alpha, 40.0, h, bulk_control=bulk)
+    assert face is want[0]
+    assert t_exit.hex() == want[1].hex()
+    assert [v.hex() for v in state.tolist()] == [v.hex() for v in want[2].tolist()]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, integrator.BULK_STEPS])
+@pytest.mark.parametrize("h", [1e-3, 7.77e-4])
+def test_integrate_with_a_bulk_twin_is_bit_identical(chunk, h, monkeypatch):
+    # a law with switch times (stage times clamped to each cut) and an
+    # extremal over 3000+ steps; chunks of 1 and 5 steps put boundaries
+    # everywhere, the last is the module's own size
+    monkeypatch.setattr(integrator, "BULK_STEPS", chunk)
+    law = min_time_law(0.7)
+    law_control, switches = law.as_control()
+    e = EnergyExtremal(0.5, 2.3)
+    cases = [
+        (law_control, law.control_bulk, 0.7, law.total_duration, switches),
+        (extremal_control(e), extremal_control_bulk(e), 0.5, 3.3, ()),
+    ]
+    for control, bulk, alpha, T, cuts in cases:
+        want = integrate(SOURCE, control, alpha, T, h, cuts, record_every=13)
+        got = integrate(SOURCE, control, alpha, T, h, cuts, record_every=13, bulk_control=bulk)
+        assert [s.t for s in got.samples] == [s.t for s in want.samples]
+        assert got.states().tobytes() == want.states().tobytes()
+        assert [(s.u1, s.u2) for s in got.samples] == [(s.u1, s.u2) for s in want.samples]
+
+
+def test_bulk_twin_memory_stays_flat_in_the_integration_time():
+    # 10k steps: one table for all of them peaks near 6 MB under
+    # tracemalloc; chunks of BULK_STEPS steps peak near 0.5 MB
+    def bulk(ts):
+        return np.ones(len(ts)), np.full(len(ts), 0.5)
+
+    tracemalloc.start()
+    try:
+        records = propagate(
+            (1.0, 0.0, 0.0), lambda t: (1.0, 0.5), _sphere_rhs(1.0), 10.0, 1e-3,
+            record_every=10**9, bulk_control=bulk,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 2
+    assert peak < 1_500_000
 
 
 def test_first_exit_horizon_error():

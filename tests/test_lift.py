@@ -8,17 +8,25 @@ import pytest
 
 from qoct import (
     ComplexState,
+    ControlLaw,
     ConsistencyError,
     DomainError,
     LevelSpec,
     SOURCE,
+    Segment,
     StepError,
     interaction_picture,
     lift_controls,
+    lift_controls_bulk,
     min_time_law,
     simulate_complex,
 )
-from qoct.min_energy import EnergyExtremal, extremal_control, transfer_time
+from qoct.min_energy import (
+    EnergyExtremal,
+    extremal_control,
+    extremal_control_bulk,
+    transfer_time,
+)
 from qoct.integrator import integrate
 from qoct.time_optimal import law_state
 
@@ -182,3 +190,59 @@ def test_samples_record_pulse_modulus_at_sample_time():
     traj = simulate_complex(PSI0, ramp, ramp, SPEC, 1.0, 1.0, 1e-2, record_every=7)
     for s in traj.samples:
         assert s.u1 == abs(ramp(s.t)) and s.u2 == abs(ramp(s.t))
+
+
+def _complex_bits(values) -> list[tuple[str, str]]:
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, values)]
+
+
+def _law_and_extremal_controls():
+    # a zero-control segment: the pulses' signed zeros must agree too
+    segments = (Segment(1.0, 0.0, 0.4), Segment(0.0, -0.0, 0.3), *min_time_law(0.8).segments)
+    law = ControlLaw(segments, 0.8)
+    fn, _ = law.as_control()
+    e = EnergyExtremal(2.0, 0.3)
+    ctrl = extremal_control(e)
+    return {
+        "law": (lambda t: fn(t)[0], lambda t: fn(t)[1], law.control_bulk,
+                law.total_duration, law.switch_times()),
+        "extremal": (lambda t: ctrl(t)[0], lambda t: ctrl(t)[1], extremal_control_bulk(e),
+                     transfer_time(2.0, 0.3), ()),
+    }
+
+
+@pytest.mark.parametrize("source", ["law", "extremal"])
+@pytest.mark.parametrize(
+    "spec", [SPEC, LevelSpec(-1.0, 0.3, 0.7, 0.3, -1.0), LevelSpec(0.0, 0.0, 2.5, -3.0, 0.0)]
+)
+def test_bulk_pulses_match_the_scalar_pulses_bit_for_bit(source, spec):
+    u1, u2, bulk, T, _ = _law_and_extremal_controls()[source]
+    f1, f2 = lift_controls(u1, u2, spec)
+    ts = np.concatenate(([0.0], np.random.default_rng(2).uniform(0.0, T, 1000)))
+    f1s, f2s = lift_controls_bulk(bulk, spec)(ts)
+    assert f1s.dtype == complex and f2s.dtype == complex
+    assert _complex_bits(f1s) == _complex_bits(f1(t) for t in ts.tolist())
+    assert _complex_bits(f2s) == _complex_bits(f2(t) for t in ts.tolist())
+
+
+@pytest.mark.parametrize("source", ["law", "extremal"])
+def test_simulate_complex_with_bulk_pulses_is_bit_identical(source):
+    u1, u2, bulk, T, switches = _law_and_extremal_controls()[source]
+    spec = LevelSpec(-1.0, 0.3, 0.7, 0.3, -1.0)
+    f1, f2 = lift_controls(u1, u2, spec)
+    runs = [
+        simulate_complex(PSI0, f1, f2, spec, 0.8, T, 1e-3, switches, 7, bulk_control=b)
+        for b in (None, lift_controls_bulk(bulk, spec))
+    ]
+    assert [s.t for s in runs[0].samples] == [s.t for s in runs[1].samples]
+    for a, b in zip(runs[0].samples, runs[1].samples):
+        assert _complex_bits(a.state) == _complex_bits(b.state)
+
+
+@pytest.mark.parametrize("field", ["e1", "e2", "e3", "xi1", "xi2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_level_spec_rejects_non_finite_fields(field, value):
+    kwargs = dict(e1=-1.0, e2=0.3, e3=0.7, xi1=0.3, xi2=-1.0)
+    kwargs[field] = value
+    with pytest.raises(DomainError, match=f"level spec {field} must be finite"):
+        LevelSpec(**kwargs)

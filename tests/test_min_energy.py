@@ -27,7 +27,7 @@ from qoct import (
 from qoct.acceptance import _first_v1_zero, solved_m3
 from qoct.errors import RegimeError
 from qoct.integrator import first_exit
-from qoct.min_energy import _horizon
+from qoct.min_energy import _horizon, extremal_control_bulk
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -274,3 +274,46 @@ def test_control_closure_matches_controls_at(alpha, m3, regime, tol):
             assert (u1, u2) == (s.u1, s.u2)
         else:
             assert abs(u1 - s.u1) <= tol and abs(u2 - s.u2) <= tol
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "alpha, m3, regime",
+    [
+        (0.5, 0.3, Regime.SUB_CRITICAL),
+        (0.5, 1.7, Regime.SUB_CRITICAL),
+        (0.5, 1.8, Regime.SUPER_CRITICAL),
+        (0.5, 9.0, Regime.SUPER_CRITICAL),
+        (0.999, 0.9, Regime.SUPER_CRITICAL),
+        (2.0, 0.3, Regime.ALPHA_ABOVE_ONE),
+        (2.0, 0.02, Regime.ALPHA_ABOVE_ONE),
+    ],
+)
+def test_bulk_extremal_control_matches_the_closure_bit_for_bit(alpha, m3, regime):
+    e = EnergyExtremal(alpha, m3)
+    assert e.regime is regime
+    ctrl, bulk = extremal_control(e), extremal_control_bulk(e)
+    ts = np.concatenate(([0.0, 1e-300], np.random.default_rng(5).uniform(0.0, 40.0, 1500)))
+    u1s, u2s = bulk(ts)
+    for t, u1, u2 in zip(ts.tolist(), u1s, u2s):
+        assert _bits((u1, u2)) == _bits(ctrl(t))
+
+
+@pytest.mark.parametrize(
+    "alpha, m3, regime",
+    [
+        (0.5, 0.0, Regime.ZERO),
+        (0.5, math.sqrt(0.75) / 0.5, Regime.CRITICAL),
+        (0.5, 1e-12, Regime.SUB_CRITICAL),  # k below ELLIPTIC_DEGENERATE
+        (0.5, 1e12, Regime.SUPER_CRITICAL),  # k below ELLIPTIC_DEGENERATE
+        (1.0, 0.9, Regime.SUPER_CRITICAL),  # k = 0: trigonometric controls
+        (2.0, 1e-9, Regime.ALPHA_ABOVE_ONE),  # 1 - k below ELLIPTIC_DEGENERATE_ONE
+    ],
+)
+def test_no_bulk_extremal_control_outside_the_landen_regimes(alpha, m3, regime):
+    e = EnergyExtremal(alpha, m3)
+    assert e.regime is regime
+    assert extremal_control_bulk(e) is None

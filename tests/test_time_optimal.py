@@ -317,3 +317,24 @@ def test_law_state_composes_cut_segments():
     end = _composed([0.3, 0.5, 0.4])
     assert np.array_equal(law_state(SOURCE, _LAW, _LAW.total_duration + 1.0), end)
     assert np.array_equal(propagate_law(SOURCE, _LAW).endpoint, end)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [_LAW, min_time_law(0.5), min_time_law(1.9), ControlLaw((Segment(0.0, -0.0, 1.0),), 1.0)],
+)
+def test_bulk_control_matches_control_at_and_beside_switch_times(law):
+    # bisect_right and searchsorted(side="right") give a switch time to the
+    # segment it starts; one ulp either side must agree too
+    edges = [0.0, *law.switch_times(), law.total_duration]
+    ts = [t for s in edges for t in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))]
+    ts += np.linspace(0.0, law.total_duration, 101).tolist()
+    u1s, u2s = law.control_bulk(np.array(ts))
+    for t, u1, u2 in zip(ts, u1s.tolist(), u2s.tolist()):
+        want = law.control(t)
+        assert (u1.hex(), u2.hex()) == (float(want[0]).hex(), float(want[1]).hex())
+
+
+def test_bulk_control_of_an_empty_law_is_zero():
+    u1s, u2s = ControlLaw((), 1.0).control_bulk(np.array([0.0, 0.5]))
+    assert u1s.tolist() == [0.0, 0.0] and u2s.tolist() == [0.0, 0.0]
