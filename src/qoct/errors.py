@@ -42,8 +42,8 @@ class HorizonError(QoctError):
 
 
 class StepError(QoctError):
-    """A renormalization correction was too large; a step probably straddled a
-    control discontinuity."""
+    """A renormalization correction was too large: the RK4 step is too long
+    for the dynamics it integrates."""
 
 
 class ConsistencyError(QoctError):

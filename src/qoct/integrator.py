@@ -188,8 +188,9 @@ def _rk4(state, t0, n, h, control, rhs, cut=math.inf, out=None, every=1, watch=F
         norm = math.sqrt(ax * ax + ay * ay + az * az)
         if not abs(norm - 1.0) <= RENORM_LIMIT:  # NaN fails too
             raise StepError(
-                f"renormalization correction {abs(norm - 1.0):.3e} at t={te:.6g}; "
-                "align steps with the control switching times"
+                f"renormalization correction {abs(norm - 1.0):.3e} exceeds "
+                f"{RENORM_LIMIT:g} in the step h={h:.6g} ending at t={te:.6g}; "
+                "the step is too long, use a smaller h"
             )
         nx, ny, nz = nx / norm, ny / norm, nz / norm
         if watch:

@@ -35,7 +35,8 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        if max(abs(self.u1), abs(self.u2)) > 1.0 + tol.CONTROL_BOUND_SLACK:
+        bound = 1.0 + tol.CONTROL_BOUND_SLACK
+        if not (abs(self.u1) <= bound and abs(self.u2) <= bound):  # NaN fails too
             raise DomainError("segment controls must lie in [-1, 1]")
         if self.duration < 0.0 or not math.isfinite(self.duration):
             raise DomainError("segment duration must be finite and >= 0")
@@ -163,15 +164,18 @@ def switching_propagator(u1: float, u2: float, alpha: float, t: float) -> np.nda
     with constant controls.
 
     Raises:
-        DomainError: for the degenerate input u1 = u2 = 0.
+        DomainError: for the degenerate input u1 = u2 = 0, or when alpha^2,
+            the squared rate w^2 or the angle w*t is not finite.
     """
-    w2 = u1 * u1 + alpha * alpha * u2 * u2
+    a2 = alpha * alpha
+    w2 = u1 * u1 + a2 * u2 * u2
+    if not (math.isfinite(a2) and math.isfinite(w2) and math.isfinite(math.sqrt(w2) * t)):
+        raise DomainError("switching propagator needs finite controls, factor and time")
     if w2 <= 0.0:
         raise DomainError("switching propagator undefined for zero controls")
     w = math.sqrt(w2)
     c = math.cos(w * t)
     s = math.sin(w * t)
-    a2 = alpha * alpha
     return np.array(
         [
             [

@@ -196,3 +196,14 @@ def test_bad_alpha_exits_2_with_library_message(form, alpha, capsys):
 def test_malformed_numbers_exit_2_with_an_error_line(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("alpha, h", [("1", "1e300"), ("0.7", "0.5")])
+def test_too_long_lift_step_names_the_step(alpha, h, capsys):
+    # propagate already cuts steps at the switching times; the step is too long
+    assert main(["lift", "--mode", "time", "--energies=-1,0.3,0.7", "--alpha", alpha,
+                 "--h", h]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: renormalization correction ")
+    assert "in the step h=" in err and "use a smaller h" in err
+    assert "switching" not in err

@@ -23,6 +23,12 @@ byte for byte.
 at alpha 0.5, 0.8, 1.25 and 1.9 and in energy mode at 0.8, with their final
 populations, recorded by ``make_lift_goldens.py`` before the RK4 read its
 controls from bulk tables.  They must match byte for byte.
+
+``synthesis_laws.json`` holds 1450 ``synthesis_law`` answers (segment
+controls and durations as float hex, or the exception's name) across the
+factor range, near one, in the three-arc family and on the boundaries,
+recorded by ``make_synthesis_laws.py`` before ``rodrigues_exp`` stopped
+re-checking its matrices.  They must match bit for bit.
 """
 
 import gzip
@@ -32,6 +38,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from qoct import QoctError, StateS2, synthesis_law
 from qoct.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -128,3 +135,26 @@ def test_lift_matches_golden_bytes(mode, alpha, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["final_population"] == float(finals[name])
     want = gzip.decompress((DATA / "lift_goldens" / f"{name}.csv.gz").read_bytes())
     assert traj.read_bytes() == want
+
+
+def _synthesis_cases():
+    return json.loads((DATA / "synthesis_laws.json").read_text())
+
+
+SYNTHESIS_GROUPS = sorted({c["group"] for c in _synthesis_cases()})
+
+
+@pytest.mark.parametrize("group", SYNTHESIS_GROUPS)
+def test_synthesis_laws_match_golden_bits(group):
+    # recorded by make_synthesis_laws.py
+    for case in _synthesis_cases():
+        if case["group"] != group:
+            continue
+        alpha = float.fromhex(case["alpha"])
+        target = StateS2(*(float.fromhex(c) for c in case["target"]))
+        try:
+            law = synthesis_law(alpha, target, case["reject_psi1_boundary"])
+            got = [[s.u1, s.u2, s.duration.hex()] for s in law.segments]
+        except QoctError as exc:
+            got = type(exc).__name__
+        assert got == case["answer"], (case["alpha"], case["target"])

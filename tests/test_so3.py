@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qoct import (
     DomainError,
     Rotation,
+    Segment,
     SkewGenerator,
     StateS2,
     bracket,
     generator,
     rodrigues_exp,
+    switching_propagator,
 )
+from qoct.tolerances import STRUCTURAL
 
 
 def exp_taylor(m: np.ndarray, t: float, terms: int = 40) -> np.ndarray:
@@ -133,3 +138,59 @@ def test_rotation_validation():
         Rotation(np.diag([1.0, 2.0, 0.5]))
     with pytest.raises(DomainError):
         Rotation(np.diag([1.0, 1.0, -1.0]))  # orthogonal but det -1
+
+
+# -- non-finite input and the scalar guards of rodrigues_exp ------------------
+
+NAN, INF = math.nan, math.inf
+NON_FINITE_CALLS = {
+    "generator-nan-u1": lambda: generator(NAN, 1.0, 1.0),
+    "generator-inf-alpha": lambda: generator(1.0, 1.0, INF),
+    "generator-overflow": lambda: generator(1.0, 1e200, 1e200),
+    "segment-nan-u1": lambda: Segment(NAN, 0.0, 1.0),
+    "segment-nan-u2": lambda: Segment(0.0, NAN, 1.0),
+    "switching-nan-u1": lambda: switching_propagator(NAN, 1.0, 1.0, 1.0),
+    "switching-inf-t": lambda: switching_propagator(1.0, 1.0, 1.0, INF),
+    "switching-inf-alpha": lambda: switching_propagator(1.0, 0.0, INF, 1.0),
+    "bracket-nan": lambda: bracket(SkewGenerator(NAN, 0.0, 0.0), generator(0.0, 1.0, 1.0)),
+    "bracket-overflow": lambda: bracket(SkewGenerator(1e200, 0.0, 0.0),
+                                        SkewGenerator(0.0, 1e200, 0.0)),
+    "rotation-nan": lambda: Rotation(np.full((3, 3), NAN)),
+    "rodrigues-nan-generator": lambda: rodrigues_exp(SkewGenerator(NAN, 0.0, 0.0), 1.0),
+    "rodrigues-rate-squared": lambda: rodrigues_exp(SkewGenerator(1e200, 0.0, 0.0), 1.0),
+    "rodrigues-rate-squared-small-t": lambda: rodrigues_exp(
+        SkewGenerator(1e160, 0.0, 0.0), 1e-170),
+    "rodrigues-angle": lambda: rodrigues_exp(SkewGenerator(1e150, 0.0, 0.0), 1e160),
+    "rodrigues-t-squared": lambda: rodrigues_exp(SkewGenerator(0.0, 0.0, 0.0), 1e200),
+    "rodrigues-nan-t": lambda: rodrigues_exp(generator(1.0, 1.0, 1.0), NAN),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
+def test_non_finite_input_raises_domain_error(call):
+    # none of these may return a NaN matrix or raise a bare ValueError
+    with pytest.raises(DomainError):
+        NON_FINITE_CALLS[call]()
+
+
+def _signed_decades(lo: int, hi: int):
+    """Zero, or +-10**e with e uniform on [lo, hi]."""
+    mag = st.floats(lo, hi).map(lambda e: 10.0**e)
+    return st.one_of(st.just(0.0), st.tuples(mag, st.booleans()).map(
+        lambda p: -p[0] if p[1] else p[0]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(m1=_signed_decades(-12, 6), m2=_signed_decades(-12, 6), m3=_signed_decades(-12, 6),
+       t=_signed_decades(-12, 8))
+@example(m1=1.0, m2=0.5, m3=0.0, t=1e-7)  # series branch
+@example(m1=1e6, m2=-1e6, m3=1e6, t=-1e8)  # trigonometric branch, large angle
+@example(m1=1e-12, m2=0.0, m3=0.0, t=1e8)  # small angle just above the series switch
+def test_rodrigues_matrices_are_rotations_by_construction(m1, m2, m3, t):
+    # the evidence that lets rodrigues_exp skip the per-call matrix check
+    g = SkewGenerator(m1, m2, m3)
+    m = rodrigues_exp(g, t).matrix
+    assert np.isfinite(m).all()
+    assert np.max(np.abs(m.T @ m - np.eye(3))) <= STRUCTURAL
+    assert abs(np.linalg.det(m) - 1.0) <= STRUCTURAL
+
