@@ -1,6 +1,7 @@
 """Acceptance criteria for the two syntheses, runnable as one suite.
 
-Each criterion is an independent check with a pinned tolerance.  The CLI
+Each criterion is an independent check with a pinned tolerance from
+``qoct.tolerances``, which its printed line also reads.  The CLI
 ``verify`` subcommand prints one pass/fail line per criterion; the pytest
 gate asserts them individually.  ``fast`` mode shrinks sample counts (never
 tolerances) for a quick smoke run.
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tols
 from .elliptic import complete_k, jacobi
 from .integrator import integrate
 from .lift import ComplexState, LevelSpec, lift_controls, simulate_complex
@@ -44,6 +46,12 @@ from .time_optimal import (
 TARGET_VEC = np.array([0.0, 0.0, 1.0])
 
 
+def _tol(x: float) -> str:
+    """A tolerance as the table writes it: 1e-6, not 1e-06."""
+    mantissa, exponent = f"{x:e}".split("e")
+    return f"{float(mantissa):g}e{int(exponent)}"
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     name: str
@@ -52,7 +60,7 @@ class CriterionResult:
 
 
 @functools.lru_cache(maxsize=None)
-def solved_m3(alpha: float, tol: float = 1e-8) -> float:
+def solved_m3(alpha: float, tol: float = tols.VERIFY_SOLVE) -> float:
     return solve_m3(alpha, tol)
 
 
@@ -69,7 +77,7 @@ def _first_v1_zero(alpha: float, m3: float) -> float:
         if hi > 1e4:
             raise RuntimeError("no v1 zero found")
     lo = hi / 1.25 if hi > 0.05 else 0.0
-    return bisect_root(v1, lo, hi, 1e-12)
+    return bisect_root(v1, lo, hi, tols.VERIFY_ZERO_BISECT)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +90,11 @@ def criterion_01(fast: bool) -> tuple[bool, str]:
     law = min_time_law(1.0)
     d_err = abs(law.total_duration - math.pi / math.sqrt(2.0))
     miss = float(np.linalg.norm(propagate_law(SOURCE, law).endpoint - TARGET_VEC))
-    ok = d_err <= 1e-12 and miss <= 1e-10
-    return ok, f"duration err {d_err:.2e} (tol 1e-12), endpoint miss {miss:.2e} (tol 1e-10)"
+    ok = d_err <= tols.VERIFY_ISOTROPIC_DURATION and miss <= tols.VERIFY_EXACT_ENDPOINT
+    return ok, (
+        f"duration err {d_err:.2e} (tol {_tol(tols.VERIFY_ISOTROPIC_DURATION)}), "
+        f"endpoint miss {miss:.2e} (tol {_tol(tols.VERIFY_EXACT_ENDPOINT)})"
+    )
 
 
 def criterion_02(fast: bool) -> tuple[bool, str]:
@@ -101,8 +112,11 @@ def criterion_02(fast: bool) -> tuple[bool, str]:
                 [1.0 / alpha, math.sqrt(1.0 - 1.0 / (alpha * alpha)), 0.0]
             )
         worst_mid = max(worst_mid, float(np.linalg.norm(mid - ref)))
-    ok = worst_end <= 1e-10 and worst_mid <= 1e-10
-    return ok, f"worst endpoint {worst_end:.2e}, worst intermediate {worst_mid:.2e} (tol 1e-10)"
+    ok = worst_end <= tols.VERIFY_EXACT_ENDPOINT and worst_mid <= tols.VERIFY_EXACT_ENDPOINT
+    return ok, (
+        f"worst endpoint {worst_end:.2e}, worst intermediate {worst_mid:.2e} "
+        f"(tol {_tol(tols.VERIFY_EXACT_ENDPOINT)})"
+    )
 
 
 def criterion_03(fast: bool) -> tuple[bool, str]:
@@ -121,22 +135,26 @@ def criterion_03(fast: bool) -> tuple[bool, str]:
         t_a = transfer_time(alpha, solved_m3(alpha))
         t_inv = transfer_time(1.0 / alpha, solved_m3(1.0 / alpha))
         worst_e = max(worst_e, abs(t_inv - alpha * t_a))
-    ok = worst_t <= 1e-12 and worst_e <= 1e-6
+    ok = worst_t <= tols.VERIFY_TIME_INVERSION and worst_e <= tols.VERIFY_ENERGY_INVERSION
     return ok, (
-        f"bounded-control worst {worst_t:.2e} over {n} draws (tol 1e-12); "
-        f"energy worst {worst_e:.2e} (tol 1e-6)"
+        f"bounded-control worst {worst_t:.2e} over {n} draws "
+        f"(tol {_tol(tols.VERIFY_TIME_INVERSION)}); "
+        f"energy worst {worst_e:.2e} (tol {_tol(tols.VERIFY_ENERGY_INVERSION)})"
     )
 
 
 def criterion_04(fast: bool) -> tuple[bool, str]:
     """Isotropic minimum energy: shooting parameter and transfer time."""
-    m3 = solve_m3(1.0, 1e-10)
+    m3 = solve_m3(1.0, tols.VERIFY_ISOTROPIC_SOLVE)
     m_err = abs(m3 - 1.0 / math.sqrt(3.0))
     t_err = abs(
         transfer_time(1.0, 1.0 / math.sqrt(3.0)) - math.sqrt(3.0) * math.pi / 2.0
     )
-    ok = m_err <= 1e-8 and t_err <= 1e-10
-    return ok, f"m3(0) err {m_err:.2e} (tol 1e-8), transfer err {t_err:.2e} (tol 1e-10)"
+    ok = m_err <= tols.VERIFY_ISOTROPIC_M3 and t_err <= tols.VERIFY_ISOTROPIC_TRANSFER
+    return ok, (
+        f"m3(0) err {m_err:.2e} (tol {_tol(tols.VERIFY_ISOTROPIC_M3)}), "
+        f"transfer err {t_err:.2e} (tol {_tol(tols.VERIFY_ISOTROPIC_TRANSFER)})"
+    )
 
 
 def criterion_05(fast: bool) -> tuple[bool, str]:
@@ -153,10 +171,15 @@ def criterion_05(fast: bool) -> tuple[bool, str]:
         worst_zero = max(
             worst_zero, abs(transfer_time(alpha, m3) - _first_v1_zero(alpha, m3))
         )
-    ok = inside and worst_miss <= 1e-6 and worst_zero <= 1e-7
+    ok = (
+        inside
+        and worst_miss <= tols.VERIFY_ENERGY_ENDPOINT
+        and worst_zero <= tols.VERIFY_FIRST_ZERO
+    )
     return ok, (
         f"strictly inside bounds: {inside}; worst endpoint miss {worst_miss:.2e} "
-        f"(tol 1e-6); transfer vs v1-zero {worst_zero:.2e} (tol 1e-7)"
+        f"(tol {_tol(tols.VERIFY_ENERGY_ENDPOINT)}); transfer vs v1-zero "
+        f"{worst_zero:.2e} (tol {_tol(tols.VERIFY_FIRST_ZERO)})"
     )
 
 
@@ -186,14 +209,15 @@ def criterion_06(fast: bool) -> tuple[bool, str]:
             if k2_ref is None:
                 k2_ref = k2
             worst_k2 = max(worst_k2, abs(k2 - k2_ref))
-    ok = worst_k1 <= 1e-10 and worst_k2 <= 1e-9
+    ok = worst_k1 <= tols.VERIFY_FIRST_INTEGRAL and worst_k2 <= tols.VERIFY_SECOND_INTEGRAL
     return ok, (
-        f"{n_ext} extremals x {n_grid} samples: K1 dev {worst_k1:.2e} (tol 1e-10), "
-        f"K2 dev {worst_k2:.2e} (tol 1e-9)"
+        f"{n_ext} extremals x {n_grid} samples: K1 dev {worst_k1:.2e} "
+        f"(tol {_tol(tols.VERIFY_FIRST_INTEGRAL)}), "
+        f"K2 dev {worst_k2:.2e} (tol {_tol(tols.VERIFY_SECOND_INTEGRAL)})"
     )
 
 
-def _adjoint_ode_residual(e: EnergyExtremal, t: float, h: float = 1e-6) -> float:
+def _adjoint_ode_residual(e: EnergyExtremal, t: float, h: float = tols.VERIFY_FD_STEP) -> float:
     a = e.alpha
     sp = controls_at(e, t + h)
     sm = controls_at(e, t - h)
@@ -225,7 +249,7 @@ def criterion_07(fast: bool) -> tuple[bool, str]:
 
     rng = Splitmix64(5150)
     worst_sw = 0.0
-    h = 1e-6
+    h = tols.VERIFY_FD_STEP
     for _ in range(40):
         u1 = (-1.0, 0.0, 1.0)[rng.below(3)]
         u2 = (-1.0, 0.0, 1.0)[rng.below(3)]
@@ -247,10 +271,15 @@ def criterion_07(fast: bool) -> tuple[bool, str]:
             ]
         )
         worst_sw = max(worst_sw, float(np.max(np.abs(dphi - rhs))))
-    ok = len(regimes) == 5 and worst <= 1e-6 and worst_sw <= 1e-6
+    ok = (
+        len(regimes) == 5
+        and worst <= tols.VERIFY_ODE_RESIDUAL
+        and worst_sw <= tols.VERIFY_ODE_RESIDUAL
+    )
     return ok, (
         f"all five regimes covered: {len(regimes) == 5}; control ODE residual "
-        f"{worst:.2e}, switching ODE residual {worst_sw:.2e} (tol 1e-6)"
+        f"{worst:.2e}, switching ODE residual {worst_sw:.2e} "
+        f"(tol {_tol(tols.VERIFY_ODE_RESIDUAL)})"
     )
 
 
@@ -274,7 +303,7 @@ def criterion_08(fast: bool) -> tuple[bool, str]:
             lambda s, _k=float(k): 1.0 / math.sqrt(1.0 - _k * _k * math.sin(s) ** 2),
             0.0,
             math.pi / 2.0,
-            1e-12,
+            tols.VERIFY_QUADRATURE_REFERENCE,
         )
         worst_q = max(worst_q, abs(complete_k(float(k)) - ref))
     j0 = jacobi(0.8, 0.0)
@@ -287,10 +316,16 @@ def criterion_08(fast: bool) -> tuple[bool, str]:
         abs(j1.cn - 1.0 / math.cosh(0.8)),
         abs(j1.dn - 1.0 / math.cosh(0.8)),
     )
-    ok = worst_id <= 1e-11 and worst_q <= 1e-10 and worst_d == 0.0
+    ok = (
+        worst_id <= tols.VERIFY_ELLIPTIC_IDENTITY
+        and worst_q <= tols.VERIFY_QUADRATURE
+        and worst_d == 0.0
+    )
     return ok, (
-        f"{n} identity samples, worst {worst_id:.2e} (tol 1e-11); K vs quadrature "
-        f"{worst_q:.2e} (tol 1e-10); degenerate forms exact: {worst_d == 0.0}"
+        f"{n} identity samples, worst {worst_id:.2e} "
+        f"(tol {_tol(tols.VERIFY_ELLIPTIC_IDENTITY)}); K vs quadrature "
+        f"{worst_q:.2e} (tol {_tol(tols.VERIFY_QUADRATURE)}); "
+        f"degenerate forms exact: {worst_d == 0.0}"
     )
 
 
@@ -309,7 +344,7 @@ def _law_respects_switching_rules(law: ControlLaw) -> bool:
     return True
 
 
-def _singular_loci_ok(law: ControlLaw, tol: float = 1e-9) -> bool:
+def _singular_loci_ok(law: ControlLaw, tol: float = tols.VERIFY_SINGULAR_LOCUS) -> bool:
     t0 = 0.0
     for seg in law.segments:
         if seg.duration <= 0.0:
@@ -346,7 +381,7 @@ def criterion_09(fast: bool) -> tuple[bool, str]:
     ok = rules and loci
     return ok, (
         f"{len(laws)} emitted laws: direction rules {rules}, "
-        f"singular loci within 1e-9: {loci}"
+        f"singular loci within {_tol(tols.VERIFY_SINGULAR_LOCUS)}: {loci}"
     )
 
 
@@ -361,10 +396,11 @@ def criterion_10(fast: bool) -> tuple[bool, str]:
             worst_margin, best - min_time_law(alpha).total_duration
         )
     elapsed = time.time() - t_start
-    ok = worst_margin >= -5e-3 and elapsed < 60.0
+    ok = worst_margin >= -tols.VERIFY_SEARCH_MARGIN and elapsed < tols.VERIFY_SEARCH_SECONDS
     return ok, (
         f"{n} candidates per factor, worst margin {worst_margin:+.2e} "
-        f"(floor -5e-3), elapsed {elapsed:.1f}s (< 60s)"
+        f"(floor -{_tol(tols.VERIFY_SEARCH_MARGIN)}), elapsed {elapsed:.1f}s "
+        f"(< {tols.VERIFY_SEARCH_SECONDS:g}s)"
     )
 
 
@@ -423,10 +459,10 @@ def criterion_11(fast: bool) -> tuple[bool, str]:
             pop, match = _lift_case(alpha, mode)
             worst_pop = min(worst_pop, pop)
             worst_match = max(worst_match, match)
-    ok = worst_pop >= 1.0 - 1e-5 and worst_match <= 1e-5
+    ok = worst_pop >= 1.0 - tols.VERIFY_POPULATION and worst_match <= tols.VERIFY_POPULATION
     return ok, (
-        f"final population >= {worst_pop:.9f} (floor 1-1e-5); worst population "
-        f"mismatch {worst_match:.2e} (tol 1e-5)"
+        f"final population >= {worst_pop:.9f} (floor 1-{_tol(tols.VERIFY_POPULATION)}); "
+        f"worst population mismatch {worst_match:.2e} (tol {_tol(tols.VERIFY_POPULATION)})"
     )
 
 
@@ -436,7 +472,9 @@ def _continuity_ok(values: np.ndarray) -> bool:
     d = np.diff(values)
     for i in range(1, len(d) - 1):
         local = 0.5 * (abs(d[i - 1]) + abs(d[i + 1]))
-        if abs(d[i]) > 10.0 * local + 1e-9 * (1.0 + abs(values[i])):
+        if abs(d[i]) > tols.VERIFY_JUMP_FACTOR * local + tols.VERIFY_JUMP_SLACK * (
+            1.0 + abs(values[i])
+        ):
             return False
     return True
 
@@ -485,10 +523,10 @@ def criterion_12(fast: bool) -> tuple[bool, str]:
                     min_comp = -math.inf
                     break
                 min_comp = min(min_comp, float(np.min(tab[:, 1:4])))
-    ok = cont and min_comp >= -1e-9
+    ok = cont and min_comp >= -tols.VERIFY_COMPONENT_FLOOR
     return ok, (
         f"sweep continuity {cont}; synthesis trajectories min component "
-        f"{min_comp:.2e} (floor -1e-9)"
+        f"{min_comp:.2e} (floor -{_tol(tols.VERIFY_COMPONENT_FLOOR)})"
     )
 
 

@@ -367,24 +367,65 @@ def _trim(segments) -> tuple[Segment, ...]:
     return tuple(s for s in segments if s.duration > tol.SEGMENT_MIN_DURATION)
 
 
-def _octant_clean(law: ControlLaw, samples: int = 200) -> bool:
-    traj = propagate_law(
-        SOURCE, law, max_step=max(law.total_duration / samples, tol.SAMPLE_STEP_FLOOR)
-    )
-    return bool(np.min(traj.states()) >= -tol.SYNTHESIS_ACCEPT)
+def _arc_components(g: SkewGenerator, start: np.ndarray):
+    """(w, rows) of the arc of g from start: component i is a0 + r*cos(w t - phi)
+    for its row (a0, r, phi)."""
+    w, A, B, C = _arc_coeffs(g, start)
+    return w, [(a0, math.hypot(b, c), math.atan2(c, b)) for a0, b, c in zip(A, B, C)]
+
+
+def _arc_walk(law: ControlLaw) -> tuple[np.ndarray, float]:
+    """(endpoint, lowest component) of a law composed exactly from the source.
+
+    The endpoint is ``_state_after``'s, bit for bit.  Along an arc a component
+    a0 + r*cos(w t - phi) is lowest at the arc's ends or at its trough a0 - r,
+    reached at w t = phi + pi when that angle lies within the arc, so no dip
+    between samples can be missed.
+    """
+    state = SOURCE.as_array()
+    low = 0.0
+    for seg in law.segments:
+        if seg.duration > 0.0:
+            g = generator(seg.u1, seg.u2, law.alpha)
+            w, rows = _arc_components(g, state)
+            span = w * seg.duration
+            for a0, r, phi in rows:
+                if phi + math.pi <= span:
+                    low = min(low, a0 - r)
+            state = rodrigues_exp(g, seg.duration).apply_array(state)
+            low = min(low, float(min(state)))
+    return state, low
 
 
 def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
-    """All laws of one family whose final arc passes through the target."""
+    """All laws of one family whose final arc passes through the target.
+
+    The first switching time a is scanned on a 257-point grid over
+    [a_lo, a_hi], and each sign change of the final-arc cone miss is refined
+    by bisection.  The family's fixed arcs (prefix and mid rotations) are
+    built once and applied in the same order at every scan point, so each
+    point is the full composition's, bit for bit.  A candidate must end
+    within SYNTHESIS_ACCEPT of the target and stay in the octant within
+    SYNTHESIS_ACCEPT, checked exactly per arc (``_arc_walk``), which is
+    stricter than sampling the law.
+    """
     g_first = generator(*fam.first, alpha)
     g_final = generator(*fam.final, alpha)
     n_final = g_final.axis() / g_final.rate
     base = _state_after(fam.prefix, alpha, SOURCE.as_array())
     level = float(target @ n_final)
+    mid = [
+        rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration)
+        for s in fam.mid
+        if s.duration > 0.0
+    ]
 
     def point(a: float) -> np.ndarray:
         """Start of the final arc after the first control is held for a."""
-        return _state_after(fam.mid, alpha, rodrigues_exp(g_first, a).apply_array(base))
+        state = rodrigues_exp(g_first, a).apply_array(base)
+        for r in mid:
+            state = r.apply_array(state)
+        return state
 
     def miss(a: float) -> float:
         return float(point(a) @ n_final) - level
@@ -404,12 +445,10 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
         dur = _arc_angle_to(point(a), target, g_final) / g_final.rate
         segs = fam.prefix + (Segment(*fam.first, a),) + fam.mid + (Segment(*fam.final, dur),)
         law = ControlLaw(_trim(segs), alpha)
-        endpoint = _state_after(law.segments, alpha, SOURCE.as_array())
-        if float(np.linalg.norm(endpoint - target)) > tol.SYNTHESIS_ACCEPT:
-            continue
-        if not _octant_clean(law):
-            continue
-        yield law
+        endpoint, low = _arc_walk(law)
+        miss = float(np.linalg.norm(endpoint - target))
+        if miss <= tol.SYNTHESIS_ACCEPT and low >= -tol.SYNTHESIS_ACCEPT:
+            yield law
 
 
 def synthesis_law(
@@ -473,15 +512,13 @@ def _arc_exit_time(start: np.ndarray, g: SkewGenerator) -> float:
     Only components that dip below -ARC_EXIT_DIP count; without one the arc
     stays in the octant and its full period is returned.
     """
-    w, A, B, C = _arc_coeffs(g, start)
-    period = 2.0 * math.pi / w
-    exit_time = period
-    for a0, b, c in zip(A, B, C):
-        r = math.hypot(b, c)
+    w, rows = _arc_components(g, start)
+    exit_time = 2.0 * math.pi / w
+    for a0, r, phi in rows:
         if a0 - r >= -tol.ARC_EXIT_DIP:
             continue
-        # a0 + r*cos(w t - phase) falls through zero at w t - phase = acos(-a0/r)
-        angle = math.atan2(c, b) + math.acos(min(1.0, -a0 / r))
+        # a0 + r*cos(w t - phi) falls through zero at w t - phi = acos(-a0/r)
+        angle = phi + math.acos(min(1.0, -a0 / r))
         exit_time = min(exit_time, angle % (2.0 * math.pi) / w)
     return exit_time
 

@@ -128,3 +128,36 @@ STAGE_TIME_NUDGE = 1e-10
 
 # absolute tolerance of the adaptive quadrature of the laser energy
 ENERGY_QUADRATURE = 1e-10
+
+# acceptance criteria behind ``qoct verify`` (``qoct.acceptance``); each
+# check and the tolerance its line prints read the same constant
+VERIFY_ISOTROPIC_DURATION = 1e-12  # A01: duration against pi/sqrt(2)
+VERIFY_EXACT_ENDPOINT = 1e-10  # A01, A02: exact endpoints and intermediate points
+VERIFY_TIME_INVERSION = 1e-12  # A03: bounded-control transfer times
+VERIFY_ENERGY_INVERSION = 1e-6  # A03: minimum-energy transfer times
+VERIFY_ISOTROPIC_M3 = 1e-8  # A04: m3(0) against 1/sqrt(3)
+VERIFY_ISOTROPIC_TRANSFER = 1e-10  # A04: transfer time against sqrt(3)*pi/2
+VERIFY_ENERGY_ENDPOINT = 1e-6  # A05: RK4 transfer endpoint miss
+VERIFY_FIRST_ZERO = 1e-7  # A05: transfer time against the first v1 zero
+VERIFY_FIRST_INTEGRAL = 1e-10  # A06: arclength integral K1
+VERIFY_SECOND_INTEGRAL = 1e-9  # A06: second integral K2
+VERIFY_ODE_RESIDUAL = 1e-6  # A07: finite-difference residuals
+VERIFY_ELLIPTIC_IDENTITY = 1e-11  # A08: sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1
+VERIFY_QUADRATURE = 1e-10  # A08: K(k) against adaptive Simpson
+VERIFY_SINGULAR_LOCUS = 1e-9  # A09: singular arcs stay on their face
+VERIFY_SEARCH_MARGIN = 5e-3  # A10: the pulse search may beat the optimum by this
+VERIFY_SEARCH_SECONDS = 60.0  # A10: time limit of the pulse searches
+VERIFY_POPULATION = 1e-5  # A11: final population deficit and population mismatch
+VERIFY_COMPONENT_FLOOR = 1e-9  # A12: undershoot of exported synthesis trajectories
+# solves and references the criteria run: the shooting tolerance of A03,
+# A05 and A11, A04's isotropic solve, A05's v1-zero bisection width, A07's central
+# difference step and A08's quadrature tolerance
+VERIFY_SOLVE = 1e-8
+VERIFY_ISOTROPIC_SOLVE = 1e-10
+VERIFY_ZERO_BISECT = 1e-12
+VERIFY_FD_STEP = 1e-6
+VERIFY_QUADRATURE_REFERENCE = 1e-12
+# A12 continuity: a sweep step may not exceed VERIFY_JUMP_FACTOR times its
+# neighbours' mean plus VERIFY_JUMP_SLACK * (1 + |value|)
+VERIFY_JUMP_FACTOR = 10.0
+VERIFY_JUMP_SLACK = 1e-9

@@ -240,3 +240,15 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert main(["min-time", "--alpha", "1"]) == 0
     monkeypatch.setattr(qoct.cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
     assert main(["min-time", "--alpha", "2"]) == 0
+
+
+def test_verify_prints_tolerances_as_written():
+    # the tolerances come from qoct.tolerances, and verify keeps printing
+    # them as written before: 1e-6, not Python's 1e-06
+    tol_text = qoct.acceptance._tol
+    for value, text in [(1e-12, "1e-12"), (1e-9, "1e-9"), (1e-6, "1e-6"), (5e-3, "5e-3")]:
+        assert tol_text(value) == text
+    _, detail = qoct.acceptance.criterion_01(True)
+    assert "(tol 1e-12)" in detail and "(tol 1e-10)" in detail
+    _, detail = qoct.acceptance.criterion_04(True)
+    assert "(tol 1e-8)" in detail and "(tol 1e-10)" in detail

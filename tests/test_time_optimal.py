@@ -27,6 +27,8 @@ from qoct import (
     synthesis_sweep,
     t_alpha,
 )
+from qoct import time_optimal as to
+from qoct import tolerances as tol
 from qoct.so3 import generator, rodrigues_exp
 from qoct.time_optimal import law_state
 
@@ -360,3 +362,95 @@ def test_bulk_control_matches_control_at_and_beside_switch_times(law):
 def test_bulk_control_of_an_empty_law_is_zero():
     u1s, u2s = ControlLaw((), 1.0).control_bulk(np.array([0.0, 0.5]))
     assert u1s.tolist() == [0.0, 0.0] and u2s.tolist() == [0.0, 0.0]
+
+
+# exact octant check of synthesis candidates: the lowest component of a law,
+# arc by arc, against dense sampling
+
+
+def _sampled_low(law: ControlLaw, samples: int) -> tuple[float, float]:
+    """(lowest component, sampling error bound) of a law sampled about
+    ``samples`` times, each arc's points evaluated from its start by the
+    Rodrigues sum p + sin(wt)/w Gp + (1 - cos(wt))/w^2 G^2 p."""
+    step = law.total_duration / samples
+    state, low, err = SOURCE.as_array(), 0.0, 0.0
+    for seg in law.segments:
+        if seg.duration <= 0.0:
+            continue
+        g = generator(seg.u1, seg.u2, law.alpha)
+        G, w = g.matrix(), g.rate
+        n = max(1, math.ceil(seg.duration / step))
+        wt = w * np.linspace(0.0, seg.duration, n + 1)
+        gp, ggp = G @ state, G @ G @ state
+        pts = state + np.outer(np.sin(wt) / w, gp) + np.outer((1.0 - np.cos(wt)) / (w * w), ggp)
+        low = min(low, float(pts.min()))
+        axis = g.axis() / w
+        radius = float(np.linalg.norm(state - (state @ axis) * axis))
+        err = max(err, radius * (w * seg.duration / n) ** 2 / 8.0)
+        state = rodrigues_exp(g, seg.duration).apply_array(state)
+    return low, err
+
+
+_CONTROLS = [(u1, u2) for u1 in (-1.0, 0.0, 1.0) for u2 in (-1.0, 0.0, 1.0) if u1 or u2]
+
+
+def test_arc_walk_lowest_component_brackets_dense_sampling():
+    # never above a 20 000-sample minimum (beyond rounding), never below it
+    # by more than what the samples can miss, R (w dt)^2 / 8
+    rng = np.random.default_rng(1212)
+    for _ in range(300):
+        alpha = 0.08 * (13.0 / 0.08) ** rng.uniform()
+        segs = []
+        for _ in range(int(rng.integers(1, 4))):
+            u1, u2 = _CONTROLS[int(rng.integers(len(_CONTROLS)))]
+            segs.append(Segment(u1, u2, float(rng.uniform(0.0, 3.0))))
+        law = ControlLaw(tuple(segs), alpha)
+        end, low = to._arc_walk(law)
+        assert end.tobytes() == to._state_after(law.segments, alpha, SOURCE.as_array()).tobytes()
+        sampled, err = _sampled_low(law, 20_000)
+        assert low <= sampled + 1e-15
+        assert low >= sampled - err - 1e-15
+
+
+def _dip_law(depth: float) -> ControlLaw:
+    # a standing arc at the source makes the law long, so the old 200-sample
+    # check sampled the last arc, a full turn about the psi3 axis at distance
+    # depth from it, only at its ends; psi1 and psi2 dip to -depth between them
+    return ControlLaw(
+        (
+            Segment(0.0, 1.0, 1300.0),
+            Segment(1.0, 0.0, math.acos(depth)),
+            Segment(0.0, 1.0, 0.5 * math.pi),
+            Segment(1.0, 0.0, 2.0 * math.pi),
+        ),
+        1.0,
+    )
+
+
+def test_arc_walk_rejects_a_dip_between_the_old_samples():
+    law = _dip_law(2e-9)
+    old = propagate_law(SOURCE, law, max_step=law.total_duration / 200)
+    assert float(np.min(old.states())) >= -tol.SYNTHESIS_ACCEPT
+    _, low = to._arc_walk(law)
+    assert low < -tol.SYNTHESIS_ACCEPT
+    assert abs(low + 2e-9) < 1e-15
+    # a dip inside the acceptance passes
+    _, low = to._arc_walk(_dip_law(5e-10))
+    assert -tol.SYNTHESIS_ACCEPT < low < 0.0
+
+
+def test_arc_walk_passes_arcs_on_a_face_and_zero_durations():
+    # the (0,1) singular arc runs on psi1 = 0, the (1,0) arc on the equator
+    for law in (min_time_law(0.5), min_time_law(2.0)):
+        _, low = to._arc_walk(law)
+        assert low >= -1e-15
+    psi1_zero = synthesis_law(0.5, StateS2(0.0, math.sqrt(0.5), math.sqrt(0.5)))
+    assert (psi1_zero.segments[-1].u1, psi1_zero.segments[-1].u2) == (0.0, 1.0)
+    assert to._arc_walk(psi1_zero)[1] >= -1e-15
+    law = ControlLaw((Segment(1.0, 0.0, 0.7), Segment(1.0, 1.0, 0.6)), 2.0)
+    padded = ControlLaw(
+        (Segment(1.0, 1.0, 0.0), law.segments[0], Segment(-1.0, 1.0, 0.0), law.segments[1]), 2.0
+    )
+    (end, low), (end0, low0) = to._arc_walk(padded), to._arc_walk(law)
+    assert end.tobytes() == end0.tobytes() and low == low0 >= -1e-15
+    assert to._arc_walk(ControlLaw((Segment(1.0, 1.0, 0.0),), 2.0))[1] == 0.0
