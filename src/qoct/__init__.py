@@ -27,7 +27,7 @@ from .errors import (
     SingularLocusError,
     StepError,
 )
-from .integrator import ExitFace, Trajectory, TrajectorySample, first_exit, integrate
+from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .lift import (
     ComplexState,
     LevelSpec,

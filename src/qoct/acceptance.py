@@ -422,12 +422,9 @@ def _lift_case(alpha: float, mode: str, h: float = 1e-3):
         u1 = lambda t: ctrl(t)[0]
         u2 = lambda t: ctrl(t)[1]
         ref = integrate(SOURCE, ctrl, alpha, T, h, record_every=1)
-        ref_t = ref.times()
-        ref_s = ref.states()
 
         def real_state(t):
-            i = int(np.argmin(np.abs(ref_t - t)))
-            return ref_s[i]
+            return ref.states[int(np.argmin(np.abs(ref.times - t)))]
 
     f1, f2 = lift_controls(u1, u2, spec)
     traj = simulate_complex(
@@ -442,10 +439,10 @@ def _lift_case(alpha: float, mode: str, h: float = 1e-3):
         record_every=25,
     )
     pop_final = float(np.abs(traj.endpoint[2]) ** 2)
-    worst = 0.0
-    for s in traj.samples:
-        pops = np.abs(np.asarray(s.state)) ** 2
-        worst = max(worst, float(np.max(np.abs(pops - real_state(s.t) ** 2))))
+    pops = np.abs(traj.states) ** 2
+    worst = max(
+        float(np.max(np.abs(p - real_state(t) ** 2))) for t, p in zip(traj.times.tolist(), pops)
+    )
     return pop_final, worst
 
 

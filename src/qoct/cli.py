@@ -158,9 +158,12 @@ def _cmd_sweep_synthesis(args) -> int:
         raise QoctError("need --n >= 1 and --samples >= 1")
     sweep = _time_sweep if args.mode == "time" else energy_sweep
     rows = [
-        (s.t, s.state[0], s.state[1], s.state[2], s.u1, s.u2, param)
+        row
         for param, traj in sweep(args.alpha, args.n, args.samples)
-        for s in traj.samples
+        for row in zip(
+            traj.times.tolist(), *traj.states.T.tolist(), traj.u1.tolist(), traj.u2.tolist(),
+            repeat(param),
+        )
     ]
     _write(_csv(["t", "psi1", "psi2", "psi3", "u1", "u2", "param"], rows), args.out)
     return 0
@@ -207,10 +210,8 @@ def _cmd_lift(args) -> int:
     final_population = float(np.abs(traj.endpoint[2]) ** 2)
     traj_file = None
     if args.trajectory_out is not None:
-        rows = [
-            (s.t, *(float(p) for p in np.abs(np.asarray(s.state)) ** 2))
-            for s in traj.samples
-        ]
+        pops = (np.abs(traj.states) ** 2).T.tolist()
+        rows = zip(traj.times.tolist(), *pops)
         _write(_csv(["t", "pop1", "pop2", "pop3"], rows), args.trajectory_out)
         traj_file = args.trajectory_out
     doc = {"final_population": final_population, "trajectory_file": traj_file}

@@ -5,7 +5,9 @@ compared against the exact rotation composition of constant-control arcs.
 States are renormalized to the sphere after every step; a large correction
 means a step straddled a control discontinuity, which is reported instead of
 silently degrading the order.  The same RK4 (``propagate``) also drives the
-complex three-level amplitudes of ``qoct.lift``.
+complex three-level amplitudes of ``qoct.lift``.  Every sampled path, RK4
+or exact, is a ``Trajectory``: read-only columns of times, states and the
+two controls.
 
 Open-loop controls can be evaluated in bulk.  Given ``bulk_control``, a
 function ts -> (c1s, c2s) of a float array, the integrator builds the stage
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,47 +44,46 @@ class ExitFace(enum.Enum):
     TARGET = "target"
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    state: np.ndarray
-    u1: float
-    u2: float
-    monitors: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-stamped state samples with the control values that produced them."""
+    """A sampled trajectory as four read-only columns of equal length n.
 
-    samples: tuple[TrajectorySample, ...]
+    ``times`` (n,) strictly increasing; ``states`` (n, 3), float or complex,
+    each row of unit norm; ``u1`` and ``u2`` (n,), the control values that
+    produced the samples (for the complex lift, the pulse moduli).  The
+    columns are copied and checked once, on construction.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        ts = self.times()
-        if len(ts) == 0:
-            raise DomainError("trajectory must hold at least one sample")
-        if np.any(np.diff(ts) <= 0.0):
-            raise DomainError("sample times must be strictly increasing")
-        norms = np.sum(np.abs(self.states()) ** 2, axis=-1)
+        for name in ("times", "states", "u1", "u2"):
+            col = np.array(getattr(self, name), dtype=None if name == "states" else float)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        ts = self.times
+        if ts.ndim != 1 or len(ts) == 0:
+            raise DomainError("trajectory times must be a non-empty 1-d column")
+        if not (self.states.shape == (len(ts), 3) and self.u1.shape == ts.shape == self.u2.shape):
+            raise DomainError("trajectory columns must have equal lengths, states 3 entries each")
+        if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0.0)):
+            raise DomainError("sample times must be finite and strictly increasing")
+        norms = np.sum(np.abs(self.states) ** 2, axis=-1)
         if not np.max(np.abs(norms - 1.0)) <= tol.STATE_NORM:  # NaN fails too
             raise DomainError(
                 f"a state sample is off the unit sphere beyond {tol.STATE_NORM:g}"
             )
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def states(self) -> np.ndarray:
-        return np.array([s.state for s in self.samples])
-
     @property
     def endpoint(self) -> np.ndarray:
-        return self.samples[-1].state
+        return self.states[-1]
 
     @property
     def duration(self) -> float:
-        return self.samples[-1].t - self.samples[0].t
+        return float(self.times[-1] - self.times[0])
 
 
 def _sphere_rhs(alpha: float):
@@ -255,7 +256,6 @@ def integrate(
     h: float,
     switch_times=(),
     record_every: int = 1,
-    monitors=None,
     bulk_control=None,
 ) -> Trajectory:
     """Propagate psi' = u1*F1 + u2*F2 with RK4 and per-step renormalization.
@@ -266,24 +266,18 @@ def integrate(
         alpha: nonisotropy factor (> 0).
         T, h, switch_times, record_every, bulk_control: as for ``propagate``;
             control alone gives the sampled (u1, u2).
-        monitors: optional dict name -> fn(t, state_tuple, u1, u2).
 
     Returns:
         Trajectory sampled on the step grid.
     """
     require("nonisotropy factor", alpha)
-    monitors = monitors or {}
-
-    def sample(t, state):
-        u1, u2 = control(t)
-        mon = {name: fn(t, state, u1, u2) for name, fn in monitors.items()}
-        return TrajectorySample(t, np.array(state), u1, u2, mon)
-
     records = propagate(
         psi0.as_tuple(), control, _sphere_rhs(alpha), T, h, switch_times, record_every,
         bulk_control,
     )
-    return Trajectory(tuple(sample(t, state) for t, state in records))
+    ts, states = zip(*records)
+    u1, u2 = zip(*map(control, ts))
+    return Trajectory(ts, states, u1, u2)
 
 
 def first_exit(

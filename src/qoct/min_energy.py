@@ -150,7 +150,9 @@ class ExtremalSample:
 
 
 def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
-    """Evaluate the closed-form extremal controls at time t >= 0."""
+    """Evaluate the closed-form extremal controls at a finite time t."""
+    if not math.isfinite(t):
+        raise DomainError(f"time t must be finite, got {t!r}")
     a, m = e.alpha, e.m3_0
     reg, k, rate = e.regime, e.modulus, e.rate
     if reg is Regime.ZERO:

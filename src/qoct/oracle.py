@@ -100,7 +100,8 @@ def _simpson(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Plain bisection for a sign change of f on [lo, hi]."""
+    """Plain bisection for a sign change of f on [lo, hi], to a width tol > 0."""
+    require("bisection tolerance", tol)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DomainError, NoSolutionError, SingularLocusError, require
-from .integrator import Trajectory, TrajectorySample
+from .integrator import Trajectory
 from .oracle import bisect_root
 from .so3 import SOURCE, SkewGenerator, StateS2, generator, rodrigues_exp
 
@@ -125,16 +125,19 @@ class SwitchingState:
 
 def delta_a(psi: StateS2, alpha: float) -> float:
     """Determinant pairing of the two control fields: alpha * psi2."""
+    require("nonisotropy factor", alpha)
     return alpha * psi.psi2
 
 
 def delta_b1(psi: StateS2, alpha: float) -> float:
     """Pairing of the first field with the commutator field: alpha * psi1."""
+    require("nonisotropy factor", alpha)
     return alpha * psi.psi1
 
 
 def delta_b2(psi: StateS2, alpha: float) -> float:
     """Pairing of the second field with the commutator field: -alpha^2 * psi3."""
+    require("nonisotropy factor", alpha)
     return -alpha * alpha * psi.psi3
 
 
@@ -151,6 +154,7 @@ def f1(psi: StateS2) -> float:
 
 def f2(psi: StateS2, alpha: float) -> float:
     """Switching-direction ratio for the second control: alpha * psi3/psi2."""
+    require("nonisotropy factor", alpha)
     if abs(psi.psi2) < tol.SINGULAR_LOCUS:
         raise SingularLocusError("psi2 = 0: switching ratios are undefined here")
     return alpha * psi.psi3 / psi.psi2
@@ -244,7 +248,8 @@ def _state_after(segments, alpha: float, start: np.ndarray) -> np.ndarray:
 
 
 def law_state(psi0: StateS2, law: ControlLaw, t: float) -> np.ndarray:
-    """Exact state at time t under a law (full arcs composed, last one partial)."""
+    """Exact state at time t >= 0 under a law (full arcs composed, last one partial)."""
+    require("time t", t, closed=True)
     cut, remaining = [], t
     for seg in law.segments:
         if remaining <= 0.0:
@@ -261,30 +266,31 @@ def propagate_law(psi0: StateS2, law: ControlLaw, max_step: float | None = None)
     Args:
         psi0: initial unit state.
         law: segments to apply in order.
-        max_step: when given, each segment is sampled on a uniform grid with
-            spacing at most this; otherwise only segment endpoints appear.
+        max_step: when given (finite, > 0), each segment is sampled on a
+            uniform grid with spacing at most this; otherwise only segment
+            endpoints appear.
 
     Returns:
         Trajectory whose endpoint is exact up to rotation arithmetic.
     """
-    samples = [TrajectorySample(0.0, psi0.as_array(), *law.control(0.0))]
+    if max_step is not None:
+        require("max_step", max_step)
     state = psi0.as_array()
     t = 0.0
+    ts, states, controls = [t], [state], [law.control(0.0)]
     for seg in law.segments:
         if seg.duration <= 0.0:
             continue
-        g = generator(seg.u1, seg.u2, law.alpha)
-        if max_step is None:
-            n = 1
-        else:
-            n = max(1, math.ceil(seg.duration / max_step))
+        n = 1 if max_step is None else max(1, math.ceil(seg.duration / max_step))
         dt = seg.duration / n
-        r = rodrigues_exp(g, dt)
+        r = rodrigues_exp(generator(seg.u1, seg.u2, law.alpha), dt)
         for _ in range(n):
             state = r.apply_array(state)
             t += dt
-            samples.append(TrajectorySample(t, state, seg.u1, seg.u2))
-    return Trajectory(tuple(samples))
+            ts.append(t)
+            states.append(state)
+        controls += [(seg.u1, seg.u2)] * n
+    return Trajectory(ts, states, *zip(*controls))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,29 @@ controls and durations as float hex, or the exception's name) across the
 factor range, near one, in the three-arc family and on the boundaries,
 recorded by ``make_synthesis_laws.py`` before ``rodrigues_exp`` stopped
 re-checking its matrices.  They must match bit for bit.
+
+These nets pin today's algorithm, not the truth.  ``energy_references.json``,
+written by ``make_references.py`` with mpmath at 30 digits, holds the
+target-reaching m3(0), k' and transfer time of the minimum-energy extremal
+at the factors of ``GOLDEN_M3``; ``tests/test_min_energy.py`` bounds the
+solved answers' distance from it by the distance measured when it was
+recorded, plus 10 %.
+
+A change that keeps every output bit keeps the byte-exact nets above as its
+guard.  A change that moves bits may re-record a byte-exact net with that
+net's own ``make_*.py`` only when all three of these hold:
+
+1. every control, regime and exception type stays the same;
+2. the reference tests show the new answers, case by case, no farther from
+   the reference, with the counts of closer and farther cases and the worst
+   case reported;
+3. CHANGES.md names the net, the number of moved values and the largest
+   move.
+
+The 40-digit references for the 1450-case synthesis net (the endpoint miss
+of each law, composed again with ``mpmath.expm``) are not recorded yet; they
+are left for a later change; until then no change can show condition 2
+for that net.
 """
 
 import gzip

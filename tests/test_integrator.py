@@ -13,7 +13,6 @@ from qoct import (
     SOURCE,
     StepError,
     Trajectory,
-    TrajectorySample,
     first_exit,
     integrate,
     min_time_law,
@@ -239,9 +238,9 @@ def test_integrate_with_a_bulk_twin_is_bit_identical(chunk, h, monkeypatch):
     for control, bulk, alpha, T, cuts in cases:
         want = integrate(SOURCE, control, alpha, T, h, cuts, record_every=13)
         got = integrate(SOURCE, control, alpha, T, h, cuts, record_every=13, bulk_control=bulk)
-        assert [s.t for s in got.samples] == [s.t for s in want.samples]
-        assert got.states().tobytes() == want.states().tobytes()
-        assert [(s.u1, s.u2) for s in got.samples] == [(s.u1, s.u2) for s in want.samples]
+        assert got.times.tolist() == want.times.tolist()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.u1.tolist() == want.u1.tolist() and got.u2.tolist() == want.u2.tolist()
 
 
 def test_bulk_twin_memory_stays_flat_in_the_integration_time():
@@ -275,41 +274,73 @@ def test_step_error_on_wild_dynamics():
 
 
 def test_trajectory_validation():
-    good = TrajectorySample(0.0, np.array([1.0, 0.0, 0.0]), 1.0, 0.0)
-    later = TrajectorySample(1.0, np.array([0.0, 1.0, 0.0]), 1.0, 0.0)
-    Trajectory((good, later))
+    good, later = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    Trajectory([0.0, 1.0], [good, later], [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        Trajectory((later, good))
+        Trajectory([1.0, 0.0], [later, good], [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        Trajectory((good, TrajectorySample(2.0, np.array([1.0, 1.0, 0.0]), 0, 0)))
+        Trajectory([0.0, 2.0], [good, [1.0, 1.0, 0.0]], [1.0, 0.0], [0.0, 0.0])
+    with pytest.raises(DomainError):
+        Trajectory([], np.empty((0, 3)), [], [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trajectory_rejects_non_finite_times(bad):
+    # NaN passes a plain np.diff(times) <= 0 test
+    with pytest.raises(DomainError, match="finite"):
+        Trajectory([0.0, bad], [[1.0, 0.0, 0.0]] * 2, [1.0, 1.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "times,states,u1,u2",
+    [
+        ([0.0, 1.0], [[1.0, 0.0, 0.0]], [1.0, 1.0], [0.0, 0.0]),
+        ([0.0, 1.0], [[1.0, 0.0, 0.0]] * 2, [1.0], [0.0, 0.0]),
+        ([0.0, 1.0], [[1.0, 0.0, 0.0]] * 2, [1.0, 1.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0], [[1.0, 0.0]] * 2, [1.0, 1.0], [0.0, 0.0]),
+    ],
+    ids=["states", "u1", "u2", "width"],
+)
+def test_trajectory_rejects_unequal_columns(times, states, u1, u2):
+    with pytest.raises(DomainError, match="equal lengths"):
+        Trajectory(times, states, u1, u2)
+
+
+def test_trajectory_columns_are_read_only_copies():
+    times = np.array([0.0, 1.0])
+    traj = Trajectory(times, [[1.0, 0.0, 0.0]] * 2, [1.0, 1.0], [0.0, 0.0])
+    times[1] = -1.0
+    assert traj.times.tolist() == [0.0, 1.0]
+    for col in (traj.times, traj.states, traj.u1, traj.u2):
+        with pytest.raises(ValueError):
+            col[0] = 5.0
+    assert traj.duration == 1.0
+    assert traj.endpoint.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_trajectory_norm_check_covers_complex_and_nan_samples():
-    unit = TrajectorySample(0.0, np.array([0.6j, 0.8 + 0.0j, 0.0j]), 1.0, 0.0)
-    Trajectory((unit,))
+    unit = np.array([0.6j, 0.8 + 0.0j, 0.0j])
+    Trajectory([0.0], [unit], [1.0], [0.0])
     off = np.array([0.6j, 0.8 + 0.0j, 1e-4j])  # |psi|^2 = 1 + 1e-8
     for state in (off, np.array([0.6, 0.8, math.nan])):
         with pytest.raises(DomainError, match="unit sphere"):
-            Trajectory((unit, TrajectorySample(1.0, state, 1.0, 0.0)))
+            Trajectory([0.0, 1.0], [unit, state], [1.0, 1.0], [0.0, 0.0])
     # one bad sample among many is found
-    many = [TrajectorySample(float(i), unit.state, 1.0, 0.0) for i in range(50)]
-    many[31] = TrajectorySample(31.0, off, 1.0, 0.0)
+    many = [unit] * 50
+    many[31] = off
     with pytest.raises(DomainError, match="unit sphere"):
-        Trajectory(tuple(many))
+        Trajectory(np.arange(50.0), many, np.ones(50), np.zeros(50))
 
 
-def test_integrate_monitors():
+def test_integrate_columns_keep_k1_and_the_norm():
     ctrl = extremal_control(EnergyExtremal(0.8, 1.0))
-    mon = {
-        "k1": lambda t, s, u1, u2: 0.5 * (u1 * u1 + u2 * u2),
-        "norm_drift": lambda t, s, u1, u2: abs(
-            s[0] ** 2 + s[1] ** 2 + s[2] ** 2 - 1.0
-        ),
-    }
-    traj = integrate(SOURCE, ctrl, 0.8, 2.0, 1e-3, record_every=100, monitors=mon)
-    for smp in traj.samples:
-        assert abs(smp.monitors["k1"] - 0.5) < 1e-10
-        assert smp.monitors["norm_drift"] < 1e-12
+    traj = integrate(SOURCE, ctrl, 0.8, 2.0, 1e-3, record_every=100)
+    assert len(traj.times) == 21
+    u1, u2, s = traj.u1, traj.u2, traj.states
+    k1 = 0.5 * (u1 * u1 + u2 * u2)
+    norm_drift = np.abs(s[:, 0] ** 2 + s[:, 1] ** 2 + s[:, 2] ** 2 - 1.0)
+    assert np.all(np.abs(k1 - 0.5) < 1e-10)
+    assert np.all(norm_drift < 1e-12)
 
 
 def test_integrate_argument_checks():

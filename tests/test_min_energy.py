@@ -1,6 +1,9 @@
 """Regimes, elliptic extremal controls, transfer times and the dichotomy."""
 
+import json
 import math
+import pathlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -38,6 +41,22 @@ GOLDEN_M3 = {
     0.5: 1.7417117410446115,
     2.0: 0.09159664113352266,
     5.0: 0.0006649060789662859,
+}
+
+# 30-digit roots of theta(T) = pi, written by tests/data/make_references.py
+REFERENCES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "energy_references.json").read_text()
+)["cases"]
+
+# the solved m3(0) and its transfer time may lie at most this far from the
+# references, relative: the distance measured when the references were
+# recorded, plus 10 %; a change that moves toward the references tightens
+# these, one that moves away fails
+REFERENCE_DISTANCE = {
+    0.2: (4.90e-14, 1.23e-8),
+    0.5: (1.68e-9, 4.22e-8),
+    2.0: (1.65e-8, 4.61e-9),
+    5.0: (5.25e-8, 6.05e-9),
 }
 
 
@@ -128,6 +147,17 @@ def test_solve_golden_fixtures():
         assert abs(transfer_time(alpha, m3) - _first_v1_zero(alpha, m3)) < 1e-7
 
 
+@pytest.mark.parametrize("case", REFERENCES, ids=lambda c: c["alpha"])
+def test_solved_m3_and_transfer_time_stay_near_the_references(case):
+    alpha = float(case["alpha"])
+    m3_bound, time_bound = REFERENCE_DISTANCE[alpha]
+    m3 = solved_m3(alpha)
+    ref_m3, ref_time = Decimal(case["m3_0"]), Decimal(case["transfer_time"])
+    assert abs(Decimal(m3) - ref_m3) <= Decimal(m3_bound) * ref_m3
+    time = transfer_time(alpha, m3)
+    assert abs(Decimal(time) - ref_time) <= Decimal(time_bound) * ref_time
+
+
 def test_solve_symmetry_pair():
     t_half = transfer_time(0.5, solved_m3(0.5))
     t_two = transfer_time(2.0, solved_m3(2.0))
@@ -175,11 +205,11 @@ def test_state_monotonicities_along_extremal():
         ctrl = extremal_control(e)
         _, t_exit, _ = first_exit(SOURCE, ctrl, alpha, _horizon(e), 1e-3)
         traj = integrate(SOURCE, ctrl, alpha, t_exit, 1e-3, record_every=5)
-        psi3 = traj.states()[:, 2]
+        psi3 = traj.states[:, 2]
         assert np.all(np.diff(psi3) > -1e-10)
-        for s in traj.samples:
-            assert controls_at(e, s.t).v2 >= -1e-10
-            assert controls_at(e, s.t).m3 >= -1e-10
+        for t in traj.times.tolist():
+            assert controls_at(e, t).v2 >= -1e-10
+            assert controls_at(e, t).m3 >= -1e-10
 
 
 def test_solve_at_the_sweep_edges():
@@ -234,7 +264,7 @@ def test_energy_sweep_runs_each_extremal_to_the_boundary():
     for _, traj in sweep:
         end = traj.endpoint
         assert min(end[0], end[1]) < 1e-9
-        assert len(traj.samples) <= 12
+        assert len(traj.times) <= 12
     with pytest.raises(DomainError):
         energy_sweep(2.0, 0, 5)
 
@@ -337,9 +367,23 @@ def test_first_integrals_along_rk4_extremals(alpha, m3, regime):
     assert e.regime is regime
     traj = integrate(SOURCE, extremal_control(e), alpha, 3.0, 1e-3)
     lengths = []
-    for s in traj.samples:
-        c = controls_at(e, s.t)
+    for t, state in zip(traj.times.tolist(), traj.states):
+        c = controls_at(e, t)
         L = np.array([c.v2 / (alpha * alpha), -c.m3, c.v1])
         lengths.append(np.linalg.norm(L))
-        assert abs(s.state @ L) <= 1e-11 * lengths[-1]
+        assert abs(state @ L) <= 1e-11 * lengths[-1]
     assert (max(lengths) - min(lengths)) <= 1e-12 * lengths[0]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "alpha,m3",
+    [(0.5, 0.0), (0.5, 0.9), (0.5, math.sqrt(3.0)), (0.5, 2.5), (2.0, 0.3)],
+    ids=["zero", "sub", "critical", "super", "above-one"],
+)
+def test_controls_at_rejects_non_finite_times(alpha, m3, t):
+    # the zero regime used to return (1, 0, 0) and the critical one NaNs
+    e = EnergyExtremal(alpha, m3)
+    assert math.isfinite(controls_at(e, 0.7).v1)
+    with pytest.raises(DomainError):
+        controls_at(e, t)

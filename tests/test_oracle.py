@@ -6,6 +6,7 @@ import pytest
 
 from qoct import (
     QuadratureDepthError,
+    bisect_root,
     complete_k,
     min_time_law,
     quadrature,
@@ -75,3 +76,10 @@ def test_search_rejects_non_finite_factor():
     # a NaN factor used to return (inf, None), as if no candidate hit
     with pytest.raises(DomainError):
         sample_search_min_time(math.nan, 10, 3, 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_bisect_root_rejects_a_bad_tolerance(tol):
+    # a NaN tolerance used to return the bracket midpoint without bisecting
+    with pytest.raises(DomainError):
+        bisect_root(lambda x: x - 0.3, 0.0, 1.0, tol)

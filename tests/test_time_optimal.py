@@ -158,7 +158,7 @@ def test_min_time_inversion_symmetry():
 
 def test_propagate_empty_law():
     traj = propagate_law(SOURCE, ControlLaw((), 1.0))
-    assert len(traj.samples) == 1
+    assert len(traj.times) == 1
     assert np.array_equal(traj.endpoint, SOURCE.as_array())
 
 
@@ -271,7 +271,7 @@ def test_synthesis_sweep_runs_each_law_to_octant_exit():
         params = [p for p, _ in sweep]
         assert len(sweep) == 12 and params == sorted(params)
         for _, law in sweep:
-            states = propagate_law(SOURCE, law, max_step=law.total_duration / 50).states()
+            states = propagate_law(SOURCE, law, max_step=law.total_duration / 50).states
             assert np.min(np.abs(states[-1])) <= 1e-12
             assert np.min(states[:-1]) >= -1e-12
 
@@ -430,7 +430,7 @@ def _dip_law(depth: float) -> ControlLaw:
 def test_arc_walk_rejects_a_dip_between_the_old_samples():
     law = _dip_law(2e-9)
     old = propagate_law(SOURCE, law, max_step=law.total_duration / 200)
-    assert float(np.min(old.states())) >= -tol.SYNTHESIS_ACCEPT
+    assert float(np.min(old.states)) >= -tol.SYNTHESIS_ACCEPT
     _, low = to._arc_walk(law)
     assert low < -tol.SYNTHESIS_ACCEPT
     assert abs(low + 2e-9) < 1e-15
@@ -454,3 +454,26 @@ def test_arc_walk_passes_arcs_on_a_face_and_zero_durations():
     (end, low), (end0, low0) = to._arc_walk(padded), to._arc_walk(law)
     assert end.tobytes() == end0.tobytes() and low == low0 >= -1e-15
     assert to._arc_walk(ControlLaw((Segment(1.0, 1.0, 0.0),), 2.0))[1] == 0.0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
+def test_law_state_rejects_non_finite_and_negative_times(t):
+    # NaN and inf used to give the law's endpoint, a negative time the source
+    with pytest.raises(DomainError):
+        law_state(SOURCE, min_time_law(0.5), t)
+
+
+@pytest.mark.parametrize("max_step", [math.nan, 0.0, -0.1, math.inf])
+def test_propagate_law_rejects_a_bad_max_step(max_step):
+    # NaN used to raise ValueError, 0 ZeroDivisionError; a negative step was ignored
+    with pytest.raises(DomainError):
+        propagate_law(SOURCE, min_time_law(0.5), max_step=max_step)
+
+
+@pytest.mark.parametrize("fn", [delta_a, delta_b1, delta_b2, f2])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+def test_switching_pairings_reject_a_bad_factor(fn, alpha):
+    psi = StateS2(0.6, 0.64, 0.48)
+    assert math.isfinite(fn(psi, 0.5))
+    with pytest.raises(DomainError):
+        fn(psi, alpha)
