@@ -406,14 +406,23 @@ def _arc_walk(law: ControlLaw) -> tuple[np.ndarray, float]:
 def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
     """All laws of one family whose final arc passes through the target.
 
-    The first switching time a is scanned on a 257-point grid over
-    [a_lo, a_hi], and each sign change of the final-arc cone miss is refined
-    by bisection.  The family's fixed arcs (prefix and mid rotations) are
-    built once and applied in the same order at every scan point, so each
-    point is the full composition's, bit for bit.  A candidate must end
-    within SYNTHESIS_ACCEPT of the target and stay in the octant within
-    SYNTHESIS_ACCEPT, checked exactly per arc (``_arc_walk``), which is
-    stricter than sampling the law.
+    The final arc keeps its cone level about its axis n, so the family can
+    only reach the target when the start of that arc sits at the target's
+    level.  That miss is a sinusoid in the first switching time a:
+    c0 + (B.q) cos(w a) + (C.q) sin(w a), with (w, A, B, C) the first arc's
+    ``_arc_coeffs``, q = R_mid^T n and c0 = A.q - level.  When |c0| exceeds
+    its amplitude R = hypot(B.q, C.q) by more than SYNTHESIS_SCREEN_MARGIN,
+    the miss stays beyond SYNTHESIS_SNAP on the whole range, so the scan
+    below could find neither a sign change nor a snap, and the family is
+    skipped before it.
+
+    Otherwise the first switching time is scanned on a 257-point grid over
+    [a_lo, a_hi], and each sign change of the miss is refined by bisection.
+    The family's fixed arcs (prefix and mid rotations) are built once and
+    applied in the same order at every scan point, so each point is the full
+    composition's, bit for bit.  A candidate must end within SYNTHESIS_ACCEPT
+    of the target and stay in the octant within SYNTHESIS_ACCEPT, checked
+    exactly per arc (``_arc_walk``), which is stricter than sampling the law.
     """
     g_first = generator(*fam.first, alpha)
     g_final = generator(*fam.final, alpha)
@@ -425,6 +434,14 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
         for s in fam.mid
         if s.duration > 0.0
     ]
+
+    q = n_final
+    for r in reversed(mid):
+        q = r.matrix.T @ q
+    _, A, B, C = _arc_coeffs(g_first, base)
+    reach = math.hypot(float(B @ q), float(C @ q))
+    if abs(float(A @ q) - level) > reach + tol.SYNTHESIS_SCREEN_MARGIN:
+        return
 
     def point(a: float) -> np.ndarray:
         """Start of the final arc after the first control is held for a."""

@@ -70,6 +70,13 @@ SYNTHESIS_ACCEPT = 1e-9
 BRACKET_MIN = 1e-14
 SYNTHESIS_SNAP = 1e-13
 
+# the reach screen of a synthesis family skips it when the cone-level miss of
+# its final arc, the sinusoid c0 + R cos(w a - phi) in the first switching
+# time, has |c0| - R beyond this; the margin covers SYNTHESIS_SNAP and the
+# rounding between the sinusoid and the composed rotations (~1e-15), so a
+# skipped family is one whose scan could find no sign change and no snap
+SYNTHESIS_SCREEN_MARGIN = 1e-9
+
 # a coordinate must dip below -ARC_EXIT_DIP along an arc to count as an exit
 ARC_EXIT_DIP = 1e-12
 

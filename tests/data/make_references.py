@@ -29,6 +29,14 @@ requires the endpoint to miss the target (0, 0, 1) by less than 1e-20.
 The factors are those of ``GOLDEN_M3`` in ``tests/test_min_energy.py``
 (0.2, 0.5, 2, 5), which include the ``min-energy`` goldens (0.5, 2).
 
+It also writes ``synthesis_references.json``: for every case of
+``synthesis_laws.json`` that has a law, the distance from the target of the
+law's endpoint, composed exactly from the source at 40 digits.  Each segment
+(u1, u2, t) is the rotation exp(tG) = I + sin(wt)/w G + (1 - cos(wt))/w^2 G^2
+of the skew generator G with (2,1)-entry u1 and (3,2)-entry alpha*u2,
+w = sqrt(u1^2 + alpha^2 u2^2), and the inputs (alpha, target, durations) are
+the recorded doubles, taken exactly.
+
 Run from the repository root, at any commit (takes about ten seconds):
 
     python tests/data/make_references.py
@@ -39,8 +47,11 @@ import pathlib
 
 import mpmath as mp
 
-OUT = pathlib.Path(__file__).parent / "energy_references.json"
+DATA = pathlib.Path(__file__).parent
+OUT = DATA / "energy_references.json"
+SYNTHESIS_OUT = DATA / "synthesis_references.json"
 DIGITS = 30
+SYNTHESIS_DIGITS = 40
 WORK_DIGITS = 45
 FACTORS = ("0.2", "0.5", "2", "5")
 ODE_FACTOR = "2"
@@ -96,7 +107,46 @@ def ode_miss(alpha, m3, T):
     return mp.sqrt(y[0] ** 2 + y[1] ** 2 + (y[2] - 1) ** 2)
 
 
+def rotation(u1, u2, alpha, t):
+    """exp(tG) for the generator of the controls (u1, u2), by Rodrigues."""
+    m1, m2 = mp.mpf(u1), alpha * u2
+    g = mp.matrix([[0, -m1, 0], [m1, 0, -m2], [0, m2, 0]])
+    w = mp.sqrt(m1 * m1 + m2 * m2)
+    return mp.eye(3) + mp.sin(w * t) / w * g + (1 - mp.cos(w * t)) / (w * w) * (g * g)
+
+
+def law_miss(alpha, target, rows):
+    """|endpoint - target| of the law [u1, u2, duration hex] from (1, 0, 0)."""
+    state = mp.matrix([1, 0, 0])
+    for u1, u2, dur in rows:
+        state = rotation(u1, u2, alpha, mp.mpf(float.fromhex(dur))) * state
+    return mp.norm(state - mp.matrix(target))
+
+
+def synthesis_references():
+    """Write the 40-digit endpoint miss of every law of the synthesis net."""
+    mp.mp.dps = SYNTHESIS_DIGITS
+    cases = json.loads((DATA / "synthesis_laws.json").read_text())
+    records = []
+    for i, case in enumerate(cases):
+        if isinstance(case["answer"], str):
+            continue
+        alpha = mp.mpf(float.fromhex(case["alpha"]))
+        target = [mp.mpf(float.fromhex(c)) for c in case["target"]]
+        miss = law_miss(alpha, target, case["answer"])
+        records.append({"case": i, "miss": mp.nstr(miss, 6, min_fixed=1, max_fixed=0)})
+    body = ",\n".join(json.dumps(r) for r in records)
+    SYNTHESIS_OUT.write_text(
+        "{\n"
+        f'"digits": {SYNTHESIS_DIGITS},\n'
+        '"method": "endpoint of each law of synthesis_laws.json composed with '
+        'Rodrigues rotations; miss = |endpoint - target|",\n'
+        f'"cases": [\n{body}\n]\n}}\n'
+    )
+
+
 def main():
+    synthesis_references()
     mp.mp.dps = WORK_DIGITS
     cases = []
     for text in FACTORS:

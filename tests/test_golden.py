@@ -30,12 +30,16 @@ factor range, near one, in the three-arc family and on the boundaries,
 recorded by ``make_synthesis_laws.py`` before ``rodrigues_exp`` stopped
 re-checking its matrices.  They must match bit for bit.
 
-These nets pin today's algorithm, not the truth.  ``energy_references.json``,
-written by ``make_references.py`` with mpmath at 30 digits, holds the
-target-reaching m3(0), k' and transfer time of the minimum-energy extremal
-at the factors of ``GOLDEN_M3``; ``tests/test_min_energy.py`` bounds the
-solved answers' distance from it by the distance measured when it was
-recorded, plus 10 %.
+These nets pin today's algorithm, not the truth.  ``make_references.py``
+writes mpmath references for two of them.  ``energy_references.json`` holds
+the target-reaching m3(0), k' and transfer time of the minimum-energy
+extremal at the factors of ``GOLDEN_M3``, at 30 digits;
+``tests/test_min_energy.py`` bounds the solved answers' distance from it by
+the distance measured when it was recorded, plus 10 %.
+``synthesis_references.json`` holds, for each of the 1381 laws of the
+synthesis net, the distance of the law's endpoint from its target, composed
+again at 40 digits; the test below composes today's law at 50 digits and
+bounds its miss by the recorded one plus 10 %.
 
 A change that keeps every output bit keeps the byte-exact nets above as its
 guard.  A change that moves bits may re-record a byte-exact net with that
@@ -47,16 +51,12 @@ net's own ``make_*.py`` only when all three of these hold:
    case reported;
 3. CHANGES.md names the net, the number of moved values and the largest
    move.
-
-The 40-digit references for the 1450-case synthesis net (the endpoint miss
-of each law, composed again with ``mpmath.expm``) are not recorded yet; they
-are left for a later change; until then no change can show condition 2
-for that net.
 """
 
 import gzip
 import json
 import pathlib
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -181,3 +181,74 @@ def test_synthesis_laws_match_golden_bits(group):
         except QoctError as exc:
             got = type(exc).__name__
         assert got == case["answer"], (case["alpha"], case["target"])
+
+
+# 40-digit endpoint misses of the net's laws, written by make_references.py
+SYNTHESIS_REFERENCES = {
+    r["case"]: Decimal(r["miss"])
+    for r in json.loads((DATA / "synthesis_references.json").read_text())["cases"]
+}
+# digits of the Decimal composition below; the Taylor series of sin and cos
+# lose about log10(e^|x|) of them, under 2 for the net's arcs (|x| <= 2.8)
+EXACT_DIGITS = 50
+SAME_MISS = Decimal("1e-5")  # the recorded misses keep six digits
+SYNTHESIS_LAW_GROUPS = sorted(
+    {c["group"] for c in _synthesis_cases() if not isinstance(c["answer"], str)}
+)
+
+
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x from their Taylor series, in the current context."""
+    sin, cos, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+    tiny = Decimal(10) ** -(EXACT_DIGITS + 10)
+    while n <= abs(x) or abs(term) > tiny:
+        if n % 4 == 0:
+            cos += term
+        elif n % 4 == 1:
+            sin += term
+        elif n % 4 == 2:
+            cos -= term
+        else:
+            sin -= term
+        n += 1
+        term = term * x / n
+    return sin, cos
+
+
+def _exact_miss(alpha: float, target, law) -> Decimal:
+    """|endpoint - target| of a law composed from (1, 0, 0) in Decimal.
+
+    Each segment is exp(tG) v = v + sin(wt)/w Gv + (1 - cos(wt))/w^2 G^2 v
+    for the generator with (2,1)-entry u1 and (3,2)-entry alpha*u2; the
+    doubles are taken exactly.
+    """
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS + 10
+        v = [Decimal(1), Decimal(0), Decimal(0)]
+        for seg in law.segments:
+            m1, m2 = Decimal(seg.u1), Decimal(alpha) * Decimal(seg.u2)
+            w = (m1 * m1 + m2 * m2).sqrt()
+            sin, cos = _sin_cos(w * Decimal(seg.duration))
+            gv = [-m1 * v[1], m1 * v[0] - m2 * v[2], m2 * v[1]]
+            ggv = [-m1 * gv[1], m1 * gv[0] - m2 * gv[2], m2 * gv[1]]
+            v = [a + sin / w * b + (1 - cos) / (w * w) * c for a, b, c in zip(v, gv, ggv)]
+        return sum((a - Decimal(t)) ** 2 for a, t in zip(v, target)).sqrt()
+
+
+@pytest.mark.parametrize("group", SYNTHESIS_LAW_GROUPS)
+def test_synthesis_laws_stay_near_their_references(group):
+    # each law's 40-digit endpoint miss may exceed the recorded one by 10 %;
+    # the counts of closer and farther laws and the worst one are what a
+    # change that moves bits reports
+    closer, farther, worst = 0, 0, (Decimal(0), -1)
+    for i, case in enumerate(_synthesis_cases()):
+        if case["group"] != group or isinstance(case["answer"], str):
+            continue
+        alpha = float.fromhex(case["alpha"])
+        target = [float.fromhex(c) for c in case["target"]]
+        law = synthesis_law(alpha, StateS2(*target), case["reject_psi1_boundary"])
+        miss, ref = _exact_miss(alpha, target, law), SYNTHESIS_REFERENCES[i]
+        closer += miss < ref * (1 - SAME_MISS)
+        farther += miss > ref * (1 + SAME_MISS)
+        worst = max(worst, (miss / ref, i))
+    assert worst[0] <= Decimal("1.1"), (closer, farther, worst)

@@ -48,15 +48,16 @@ REFERENCES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "energy_references.json").read_text()
 )["cases"]
 
-# the solved m3(0) and its transfer time may lie at most this far from the
-# references, relative: the distance measured when the references were
-# recorded, plus 10 %; a change that moves toward the references tightens
-# these, one that moves away fails
+# the solved m3(0), its transfer time and its comodulus k' may lie at most
+# this far from the references, relative: the distance measured when the
+# references were recorded (k': when this bound was added), plus 10 %; a
+# change that moves toward the references tightens these, one that moves
+# away fails
 REFERENCE_DISTANCE = {
-    0.2: (4.90e-14, 1.23e-8),
-    0.5: (1.68e-9, 4.22e-8),
-    2.0: (1.65e-8, 4.61e-9),
-    5.0: (5.25e-8, 6.05e-9),
+    0.2: (4.90e-14, 1.23e-8, 1.07e-7),
+    0.5: (1.68e-9, 4.22e-8, 1.50e-7),
+    2.0: (1.65e-8, 4.61e-9, 1.64e-8),
+    5.0: (5.25e-8, 6.05e-9, 5.25e-8),
 }
 
 
@@ -150,12 +151,26 @@ def test_solve_golden_fixtures():
 @pytest.mark.parametrize("case", REFERENCES, ids=lambda c: c["alpha"])
 def test_solved_m3_and_transfer_time_stay_near_the_references(case):
     alpha = float(case["alpha"])
-    m3_bound, time_bound = REFERENCE_DISTANCE[alpha]
+    m3_bound, time_bound, kp_bound = REFERENCE_DISTANCE[alpha]
     m3 = solved_m3(alpha)
     ref_m3, ref_time = Decimal(case["m3_0"]), Decimal(case["transfer_time"])
     assert abs(Decimal(m3) - ref_m3) <= Decimal(m3_bound) * ref_m3
     time = transfer_time(alpha, m3)
     assert abs(Decimal(time) - ref_time) <= Decimal(time_bound) * ref_time
+    ref_kp = Decimal(case["comodulus"])
+    kp = EnergyExtremal(alpha, m3).comodulus
+    assert abs(Decimal(kp) - ref_kp) <= Decimal(kp_bound) * ref_kp
+
+
+def test_comodulus_is_the_same_at_reciprocal_factors():
+    # k'(alpha) = k'(1/alpha) for the target-reaching extremal; 0.5 and 2 are
+    # exact reciprocals as doubles (0.2 and 5 are not), so the references
+    # agree to their digits and the solved k' within both distances
+    ref = {c["alpha"]: Decimal(c["comodulus"]) for c in REFERENCES}
+    assert abs(ref["0.5"] - ref["2"]) <= Decimal("1e-28")
+    half, two = (EnergyExtremal(a, solved_m3(a)).comodulus for a in (0.5, 2.0))
+    bound = REFERENCE_DISTANCE[0.5][2] + REFERENCE_DISTANCE[2.0][2]
+    assert abs(Decimal(half) - Decimal(two)) <= Decimal(bound) * ref["2"]
 
 
 def test_solve_symmetry_pair():

@@ -1,6 +1,8 @@
 """Switching machinery, minimum-time laws and the synthesis to targets."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from qoct.so3 import generator, rodrigues_exp
 from qoct.time_optimal import law_state
 
 E3 = np.array([0.0, 0.0, 1.0])
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_boundary_determinants():
@@ -477,3 +480,168 @@ def test_switching_pairings_reject_a_bad_factor(fn, alpha):
     assert math.isfinite(fn(psi, 0.5))
     with pytest.raises(DomainError):
         fn(psi, alpha)
+
+
+# reach screen of the synthesis families: every family that
+# ``_family_candidates`` skips is one in which the unscreened scan finds no root
+
+
+class _Scanned(Exception):
+    """A family reached its scan."""
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """screened(fam, alpha, target): whether ``_family_candidates`` skips the
+    family before its scan.  The scan's first step is a rotation about the
+    first arc's generator, which no prefix or mid arc shares, so a spy on
+    ``rodrigues_exp`` stops the call there instead of running the scan."""
+    first = [None]
+
+    def spy(g, t):
+        if g == first[0]:
+            raise _Scanned
+        return rodrigues_exp(g, t)
+
+    monkeypatch.setattr(to, "rodrigues_exp", spy)
+
+    def verdict(fam, alpha: float, target: np.ndarray) -> bool:
+        first[0] = generator(*fam.first, alpha)
+        try:
+            laws = list(to._family_candidates(fam, alpha, target))
+        except _Scanned:
+            return False
+        finally:
+            first[0] = None
+        assert laws == []
+        return True
+
+    return verdict
+
+
+def _reference_scan(fam, alpha: float, target: np.ndarray) -> tuple[list, float, float]:
+    """(roots, smallest |miss|, reach gap) of the unscreened scan of a family.
+
+    The 257-point sign-change and snap loop of ``_family_candidates``; each
+    point's first arc is the Rodrigues sum A + B cos(wa) + C sin(wa), with
+    A = p + G^2 p/w^2, B = -G^2 p/w^2 and C = Gp/w, and the prefix and mid
+    arcs are ``rodrigues_exp`` rotations.  A sign change is reported as its
+    bracket.  The miss is the sinusoid c0 + b cos(wa) + c sin(wa) whose
+    coefficients are A, B and C carried forward through the mid arcs and
+    read on the final axis; the reach gap is |c0| - hypot(b, c).
+    """
+    p = SOURCE.as_array()
+    for s in fam.prefix:
+        p = rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration).apply_array(p)
+    g = generator(*fam.first, alpha)
+    G, w = g.matrix(), g.rate
+    coeffs = np.array([p + G @ G @ p / (w * w), -G @ G @ p / (w * w), G @ p / w])
+    grid = np.linspace(fam.a_lo, fam.a_hi, 257)
+    pts = coeffs[0] + np.outer(np.cos(w * grid), coeffs[1]) + np.outer(np.sin(w * grid), coeffs[2])
+    for s in fam.mid:
+        r = rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration).matrix
+        pts, coeffs = pts @ r.T, coeffs @ r.T
+    g_final = generator(*fam.final, alpha)
+    n = g_final.axis() / g_final.rate
+    vals = pts @ n - target @ n
+    roots = []
+    for i in range(len(grid) - 1):
+        if abs(vals[i]) <= tol.SYNTHESIS_SNAP:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append((grid[i], grid[i + 1]))
+    if abs(vals[-1]) <= tol.SYNTHESIS_SNAP:
+        roots.append(grid[-1])
+    a, b, c = (float(x) for x in coeffs @ n)
+    return roots, float(np.min(np.abs(vals))), abs(a - float(target @ n)) - math.hypot(b, c)
+
+
+def _net_families():
+    for case in json.loads((DATA / "synthesis_laws.json").read_text()):
+        alpha = float.fromhex(case["alpha"])
+        target = np.array([float.fromhex(c) for c in case["target"]])
+        yield alpha, target, to._families(alpha)
+
+
+def _drawn_families():
+    for alpha, target in _workload_draws(14, 6000):
+        yield alpha, target.as_array(), to._families(alpha)
+
+
+def _constructed_families():
+    # families beyond the synthesis's own, each with a prefix and one or two
+    # mid arcs of random controls and durations; the first control differs
+    # from the prefix's and the mid arcs' (the spy needs that)
+    rng = np.random.default_rng(1414)
+    for alpha, target in _workload_draws(15, 1500):
+        pick = [_CONTROLS[int(k)] for k in rng.permutation(len(_CONTROLS))[:4]]
+        mid = [Segment(*pick[2], float(rng.uniform(0.1, 2.0)))]
+        if rng.uniform() < 0.5:
+            mid.append(Segment(*pick[0], float(rng.uniform(0.1, 2.0))))
+        fam = to._Family(
+            (Segment(*pick[0], float(rng.uniform(0.1, 2.0))),),
+            pick[1],
+            0.0,
+            float(rng.uniform(0.5, 3.0)),
+            tuple(mid),
+            pick[3],
+        )
+        yield alpha, target.as_array(), [fam]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_net_families, _drawn_families, _constructed_families],
+    ids=["synthesis_net", "draws", "constructed"],
+)
+def test_reach_screen_skips_only_families_the_scan_finds_empty(cases, screened):
+    # the screen skips exactly the families whose reach gap exceeds the
+    # margin; on those the miss stays beyond the margin at every grid point,
+    # so the scan could neither snap nor bracket a root; when recorded, 1220
+    # of the net's 4290 families and 5688 of the draws' 18000 were skipped,
+    # and the smallest gap of a skipped family was 1.1e-5 (net) and 9.0e-5
+    # (draws), where the scan's smallest |miss| was the same
+    families, skipped = 0, 0
+    for alpha, target, fams in cases():
+        for fam in fams:
+            roots, low, gap = _reference_scan(fam, alpha, target)
+            families += 1
+            skip = screened(fam, alpha, target)
+            assert skip == (gap > tol.SYNTHESIS_SCREEN_MARGIN), (alpha.hex(), fam, gap)
+            if skip:
+                skipped += 1
+                assert roots == [] and low > tol.SYNTHESIS_SCREEN_MARGIN, (alpha.hex(), fam)
+    assert 0 < skipped < families
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_reach_screen_scans_a_target_just_beyond_the_tangent(alpha, screened):
+    # the first family's final arc is the double bang, and at a = 0 the cone
+    # level of its start is highest: a target lifted off the double bang by
+    # less than the margin is beyond the sinusoid's reach by that much, yet
+    # the scan still snaps at the grid's first point and yields its law
+    fam = to._families(alpha)[0]
+    assert (fam.first, fam.final, fam.a_lo) == ((1.0, 0.0), (1.0, 1.0), 0.0)
+    g_final = generator(*fam.final, alpha)
+    n = g_final.axis() / g_final.rate
+    dur = 0.6 * t_alpha(alpha)
+    on_arc = rodrigues_exp(g_final, dur).apply_array(SOURCE.as_array())
+
+    def lifted(gap: float) -> tuple[np.ndarray, float]:
+        level = float(on_arc @ n)
+        target = on_arc + gap / (1.0 - level * level) * n
+        target /= np.linalg.norm(target)
+        return target, _reference_scan(fam, alpha, target)[2]
+
+    target, gap = lifted(2e-14)
+    assert 0.0 < gap < tol.SYNTHESIS_SNAP
+    assert not screened(fam, alpha, target)
+    (law,) = to._family_candidates(fam, alpha, target)
+    assert [(s.u1, s.u2) for s in law.segments] == [(1.0, 1.0)]
+    assert abs(law.segments[0].duration - dur) < 1e-12
+    assert float(np.linalg.norm(to._arc_walk(law)[0] - target)) < 1e-13
+
+    target, gap = lifted(2.0 * tol.SYNTHESIS_SCREEN_MARGIN)
+    assert gap > tol.SYNTHESIS_SCREEN_MARGIN
+    assert screened(fam, alpha, target)
+    assert _reference_scan(fam, alpha, target)[0] == []
