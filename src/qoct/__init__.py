@@ -7,14 +7,7 @@ together with independent verification oracles and a resonant lift back to
 the full complex dynamics.
 """
 
-from .elliptic import (
-    JacobiTriple,
-    complete_k,
-    jacobi,
-    jacobi_derived,
-    sncndn,
-    sncndn_bulk,
-)
+from .elliptic import complete_k, sncndn, sncndn_bulk
 from .errors import (
     BracketError,
     ConsistencyError,

@@ -15,12 +15,11 @@ at k = 1 only engages within a few float ulps, because the Landen chain stays
 accurate essentially up to float resolution there and downstream solvers
 genuinely operate that close to the degenerate modulus.
 
-``sncndn`` is the one evaluation kernel and returns a plain tuple, since
-integrators call it three times per RK4 step; ``jacobi`` wraps it in a
-``JacobiTriple`` and ``jacobi_derived`` divides its values by dn.  It keeps
-its last Landen result: on a uniform step grid the last RK4 stage of one
-step and the first stage of the next ask for the same argument, and an equal
-``(u, k)`` returns the stored tuple.  The AGM chains are kept per modulus in
+``sncndn`` is the one evaluation kernel and the one scalar entry point; it
+returns a plain tuple, since integrators call it three times per RK4 step.
+It keeps its last Landen result: on a uniform step grid the last RK4 stage
+of one step and the first stage of the next ask for the same argument, and
+an equal ``(u, k)`` returns the stored tuple.  The AGM chains are kept per modulus in
 a bounded table.
 
 ``sncndn_bulk`` is its array twin for moduli in the Landen range, used where
@@ -37,7 +36,6 @@ of uniform arguments in [-20, 20], numpy 2.4 on x86-64).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import cos, cosh, isfinite, sin, sqrt, tanh
 
 import numpy as np
@@ -58,15 +56,6 @@ _CHAINS: dict[float, tuple[float, tuple[tuple[float, float], ...]]] = {}
 # the last Landen evaluation as one (u, k, (sn, cn, dn)) tuple, replaced
 # whole so that a reader never pairs one call's (u, k) with another's values
 _last: tuple = (math.nan, math.nan, (math.nan, math.nan, math.nan))
-
-
-@dataclass(frozen=True)
-class JacobiTriple:
-    """Values of (sn, cn, dn) at a common argument and modulus."""
-
-    sn: float
-    cn: float
-    dn: float
 
 
 def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
@@ -238,18 +227,3 @@ def _landen_bulk(sin_phase, cos_phase, scale, chain):
     # sign(sn) = sign(sin(phase)), which is never zero here
     sn = np.copysign(1.0 / np.sqrt(c * c + 1.0), sin_phase)
     return sn, c * sn, dn
-
-
-def jacobi(u: float, k: float) -> JacobiTriple:
-    """``sncndn(u, k)`` as a JacobiTriple."""
-    return JacobiTriple(*sncndn(u, k))
-
-
-def jacobi_derived(u: float, k: float) -> tuple[float, float, float]:
-    """The quotient functions (cd, sd, nd) = (cn, sn, 1) / dn.
-
-    dn is bounded away from zero for k < 1, and stays positive (it equals
-    sech) at k = 1, so the quotients are always well defined here.
-    """
-    sn, cn, dn = sncndn(u, k)
-    return cn / dn, sn / dn, 1.0 / dn

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input guard."""
 
 import math
+from numbers import Integral
 
 
 class QoctError(Exception):
@@ -19,6 +20,12 @@ def require(name: str, value: float, low: float = 0.0, closed: bool = False) -> 
     if not (math.isfinite(value) and (value >= low if closed else value > low)):
         bound = f"{'>=' if closed else '>'} {low:g}"
         raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def require_count(name: str, value, low: int = 1) -> None:
+    """Raise DomainError unless value is a whole number (an Integral) >= low."""
+    if not (isinstance(value, Integral) and value >= low):
+        raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
 
 
 class SingularLocusError(DomainError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .elliptic import complete_k_comp, landen_range, sncndn, sncndn_bulk
-from .errors import BracketError, DomainError, RegimeError, require
+from .errors import BracketError, DomainError, RegimeError, require, require_count
 from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .oracle import quadrature
 from .so3 import SOURCE
@@ -487,8 +487,8 @@ def energy_sweep(alpha: float, n: int, samples: int) -> list[tuple[float, Trajec
     Returns:
         (m3(0), trajectory) pairs in increasing m3(0).
     """
-    if n < 1 or samples < 1:
-        raise DomainError("energy_sweep needs n >= 1 and samples >= 1")
+    require_count("energy_sweep count n", n)
+    require_count("energy_sweep samples", samples)
     h = 2e-3
     m3_star = solve_m3(alpha, 1e-7)
     out = []

@@ -4,10 +4,13 @@ The pulse search and the quadrature share no code with the closed-form
 paths they check: the random pulse search propagates candidate laws exactly
 and reports the fastest one that touches a small ball around the target, and
 the adaptive Simpson rule provides an integral oracle for the elliptic
-module and the energy cost.  ``bisect_root`` is the package's one scalar
-root bisection, used by the time-optimal synthesis and the acceptance
-criteria; the energy dichotomy and the integrator's exit location bisect on
-exit faces and boundary crossings instead.
+module and the energy cost.  The search's own circle arithmetic (its arcs'
+sinusoids in ``_block_hits``, ``_arc_window`` and ``_first_ball_peak``) is
+kept apart from ``so3.arc_form`` on purpose, so that a fault there cannot
+hide in both the synthesis and its check.  ``bisect_root`` is the package's
+one scalar root bisection, used by the time-optimal synthesis and the
+acceptance criteria; the energy dichotomy and the integrator's exit location
+bisect on exit faces and boundary crossings instead.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, QuadratureDepthError, require
+from .errors import DomainError, QuadratureDepthError, require, require_count
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -336,9 +339,8 @@ def _first_ball_peak(w, A, B, C, dur, z_min):
 
 def _check_search_args(alpha, n_candidates, max_segments, seed, target_radius,
                        fixed_controls, max_duration):
-    for name, value in (("candidate count", n_candidates), ("segment count", max_segments)):
-        if not (isinstance(value, Integral) and value >= 1):
-            raise DomainError(f"{name} must be a whole number >= 1, got {value!r}")
+    require_count("candidate count", n_candidates)
+    require_count("segment count", max_segments)
     if not isinstance(seed, Integral):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     require("nonisotropy factor", alpha)

@@ -2,7 +2,8 @@
 
 The reduced dynamics lives on the unit sphere and every constant-control arc
 is an exact rotation, so this module provides the exact matrix exponential
-(Rodrigues formula) rather than a numerical propagator.
+(Rodrigues formula) rather than a numerical propagator, and the circle that
+such an arc traces (``arc_form``).
 """
 
 from __future__ import annotations
@@ -205,6 +206,21 @@ def rodrigues_exp(g: SkewGenerator, t: float) -> Rotation:
         raise DomainError(f"rotation needs finite t^2, rate^2 and rate*t, got {rate!r}, {t!r}")
     a, b = _exp_coeffs(rate, t)
     return _rotation(_EYE + a * g._matrix + b * g._square)
+
+
+def arc_form(g: SkewGenerator, p: np.ndarray) -> tuple:
+    """The circle that exp(t*G) p traces, for a generator of rate w > 0.
+
+    Returns (w, A, B, C, rows) with exp(t*G) p = A + B*cos(w t) + C*sin(w t)
+    for vectors A (the centre, on the axis), B and C, and per component i
+    its row (a0, r, phi) = (A[i], hypot(B[i], C[i]), atan2(C[i], B[i])), so
+    that component is a0 + r*cos(w t - phi).
+    """
+    w = g.rate
+    gp = g.apply(p)
+    ggp = g.apply(gp) / (w * w)
+    A, B, C = p + ggp, -ggp, gp / w
+    return w, A, B, C, [(a0, math.hypot(b, c), math.atan2(c, b)) for a0, b, c in zip(A, B, C)]
 
 
 def bracket(g1: SkewGenerator, g2: SkewGenerator) -> SkewGenerator:

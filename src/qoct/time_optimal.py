@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, NoSolutionError, SingularLocusError, require
+from .errors import DomainError, NoSolutionError, SingularLocusError, require, require_count
 from .integrator import Trajectory
 from .oracle import bisect_root
-from .so3 import SOURCE, SkewGenerator, StateS2, generator, rodrigues_exp
+from .so3 import SOURCE, SkewGenerator, StateS2, arc_form, generator, rodrigues_exp
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,9 @@ class ControlLaw:
         return self._switches
 
     def control(self, t: float) -> tuple[float, float]:
-        """Control values at time t; each segment owns [start, end)."""
+        """Control values at a finite time t; each segment owns [start, end)."""
+        if not math.isfinite(t):
+            raise DomainError(f"time t must be finite, got {t!r}")
         if not self.segments:
             return 0.0, 0.0
         seg = self.segments[bisect_right(self._switches, t)]
@@ -82,6 +84,8 @@ class ControlLaw:
         ``np.searchsorted(..., side="right")`` is ``bisect_right``'s rule,
         so each element equals ``control`` at that time.
         """
+        if not np.isfinite(ts).all():
+            raise DomainError("times must be finite")
         if not self.segments:
             return np.zeros(len(ts)), np.zeros(len(ts))
         idx = np.searchsorted(self._switches, ts, side="right")
@@ -238,13 +242,27 @@ def min_time_law(alpha: float) -> ControlLaw:
     )
 
 
-def _state_after(segments, alpha: float, start: np.ndarray) -> np.ndarray:
-    """Exact state after composing whole segments from ``start``."""
-    state = start
+def _compose(segments, alpha: float, start: np.ndarray) -> tuple[np.ndarray, float]:
+    """(state, lowest component) after composing whole segments exactly from ``start``.
+
+    The lowest component is the least that any component reaches on the
+    arcs, or 0.  Along an arc, component a0 + r*cos(w t - phi) is lowest at
+    the arc's ends or at its trough a0 - r, reached at w t = phi + pi when
+    that lies within the arc, so no dip between samples can be missed.
+    """
+    state, low = start, 0.0
     for seg in segments:
         if seg.duration > 0.0:
-            state = rodrigues_exp(generator(seg.u1, seg.u2, alpha), seg.duration).apply_array(state)
-    return state
+            g = generator(seg.u1, seg.u2, alpha)
+            rot = rodrigues_exp(g, seg.duration)
+            if g.rate > 0.0:  # a standing arc (u1 = u2 = 0) has no circle
+                w, *_, rows = arc_form(g, state)
+                for a0, r, phi in rows:
+                    if phi + math.pi <= w * seg.duration:
+                        low = min(low, a0 - r)
+            state = rot.apply_array(state)
+            low = min(low, float(min(state)))
+    return state, low
 
 
 def law_state(psi0: StateS2, law: ControlLaw, t: float) -> np.ndarray:
@@ -257,7 +275,7 @@ def law_state(psi0: StateS2, law: ControlLaw, t: float) -> np.ndarray:
         step = min(seg.duration, remaining)
         cut.append(Segment(seg.u1, seg.u2, step))
         remaining -= step
-    return _state_after(cut, law.alpha, psi0.as_array())
+    return _compose(cut, law.alpha, psi0.as_array())[0]
 
 
 def propagate_law(psi0: StateS2, law: ControlLaw, max_step: float | None = None) -> Trajectory:
@@ -343,64 +361,22 @@ def _families(alpha: float) -> list[_Family]:
     ]
 
 
-def _arc_coeffs(g: SkewGenerator, p: np.ndarray):
-    """(w, A, B, C) with exp(tG) p = A + B*cos(w t) + C*sin(w t) for vectors A, B, C."""
-    w = g.rate
-    gp = g.apply(p)
-    ggp = g.apply(gp) / (w * w)
-    return w, p + ggp, -ggp, gp / w
-
-
 def _arc_angle_to(p: np.ndarray, target: np.ndarray, g: SkewGenerator) -> float:
     """Forward rotation angle in [0, 2*pi) taking p toward the target about g's axis.
 
     The target's offset from the circle's centre A, read in the (B, C) frame;
     whether it lies on the circle is left to the caller's endpoint check.
     """
-    _, A, B, C = _arc_coeffs(g, p)
+    _, A, B, C, _ = arc_form(g, p)
     if float(np.linalg.norm(B)) < tol.ARC_ON_AXIS:
         return 0.0
     d = target - A
-    ang = math.atan2(float(C @ d), float(B @ d))
-    if ang < 0.0:
-        ang += 2.0 * math.pi
-    if ang > 2.0 * math.pi - tol.ARC_ANGLE_WRAP:
-        ang = 0.0
-    return ang
+    ang = math.atan2(float(C @ d), float(B @ d)) % (2.0 * math.pi)
+    return 0.0 if ang > 2.0 * math.pi - tol.ARC_ANGLE_WRAP else ang
 
 
 def _trim(segments) -> tuple[Segment, ...]:
     return tuple(s for s in segments if s.duration > tol.SEGMENT_MIN_DURATION)
-
-
-def _arc_components(g: SkewGenerator, start: np.ndarray):
-    """(w, rows) of the arc of g from start: component i is a0 + r*cos(w t - phi)
-    for its row (a0, r, phi)."""
-    w, A, B, C = _arc_coeffs(g, start)
-    return w, [(a0, math.hypot(b, c), math.atan2(c, b)) for a0, b, c in zip(A, B, C)]
-
-
-def _arc_walk(law: ControlLaw) -> tuple[np.ndarray, float]:
-    """(endpoint, lowest component) of a law composed exactly from the source.
-
-    The endpoint is ``_state_after``'s, bit for bit.  Along an arc a component
-    a0 + r*cos(w t - phi) is lowest at the arc's ends or at its trough a0 - r,
-    reached at w t = phi + pi when that angle lies within the arc, so no dip
-    between samples can be missed.
-    """
-    state = SOURCE.as_array()
-    low = 0.0
-    for seg in law.segments:
-        if seg.duration > 0.0:
-            g = generator(seg.u1, seg.u2, law.alpha)
-            w, rows = _arc_components(g, state)
-            span = w * seg.duration
-            for a0, r, phi in rows:
-                if phi + math.pi <= span:
-                    low = min(low, a0 - r)
-            state = rodrigues_exp(g, seg.duration).apply_array(state)
-            low = min(low, float(min(state)))
-    return state, low
 
 
 def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
@@ -410,7 +386,7 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
     only reach the target when the start of that arc sits at the target's
     level.  That miss is a sinusoid in the first switching time a:
     c0 + (B.q) cos(w a) + (C.q) sin(w a), with (w, A, B, C) the first arc's
-    ``_arc_coeffs``, q = R_mid^T n and c0 = A.q - level.  When |c0| exceeds
+    ``so3.arc_form``, q = R_mid^T n and c0 = A.q - level.  When |c0| exceeds
     its amplitude R = hypot(B.q, C.q) by more than SYNTHESIS_SCREEN_MARGIN,
     the miss stays beyond SYNTHESIS_SNAP on the whole range, so the scan
     below could find neither a sign change nor a snap, and the family is
@@ -422,12 +398,12 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
     applied in the same order at every scan point, so each point is the full
     composition's, bit for bit.  A candidate must end within SYNTHESIS_ACCEPT
     of the target and stay in the octant within SYNTHESIS_ACCEPT, checked
-    exactly per arc (``_arc_walk``), which is stricter than sampling the law.
+    exactly per arc (``_compose``), which is stricter than sampling the law.
     """
     g_first = generator(*fam.first, alpha)
     g_final = generator(*fam.final, alpha)
     n_final = g_final.axis() / g_final.rate
-    base = _state_after(fam.prefix, alpha, SOURCE.as_array())
+    base = _compose(fam.prefix, alpha, SOURCE.as_array())[0]
     level = float(target @ n_final)
     mid = [
         rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration)
@@ -438,7 +414,7 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
     q = n_final
     for r in reversed(mid):
         q = r.matrix.T @ q
-    _, A, B, C = _arc_coeffs(g_first, base)
+    _, A, B, C, _ = arc_form(g_first, base)
     reach = math.hypot(float(B @ q), float(C @ q))
     if abs(float(A @ q) - level) > reach + tol.SYNTHESIS_SCREEN_MARGIN:
         return
@@ -468,7 +444,7 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
         dur = _arc_angle_to(point(a), target, g_final) / g_final.rate
         segs = fam.prefix + (Segment(*fam.first, a),) + fam.mid + (Segment(*fam.final, dur),)
         law = ControlLaw(_trim(segs), alpha)
-        endpoint, low = _arc_walk(law)
+        endpoint, low = _compose(law.segments, alpha, SOURCE.as_array())
         miss = float(np.linalg.norm(endpoint - target))
         if miss <= tol.SYNTHESIS_ACCEPT and low >= -tol.SYNTHESIS_ACCEPT:
             yield law
@@ -535,7 +511,7 @@ def _arc_exit_time(start: np.ndarray, g: SkewGenerator) -> float:
     Only components that dip below -ARC_EXIT_DIP count; without one the arc
     stays in the octant and its full period is returned.
     """
-    w, rows = _arc_components(g, start)
+    w, *_, rows = arc_form(g, start)
     exit_time = 2.0 * math.pi / w
     for a0, r, phi in rows:
         if a0 - r >= -tol.ARC_EXIT_DIP:
@@ -554,8 +530,7 @@ def synthesis_sweep(alpha: float, n: int) -> list[tuple[float, ControlLaw]]:
     in the combined range, and its final arc is held until the octant exit.
     """
     require("nonisotropy factor", alpha)
-    if n < 1:
-        raise DomainError("synthesis_sweep needs n >= 1")
+    require_count("synthesis_sweep count n", n)
     fams = _families(alpha)
     if alpha > 1.0:
         # the first family is only extremal-to-exit past the switching curve;
@@ -573,7 +548,7 @@ def synthesis_sweep(alpha: float, n: int) -> list[tuple[float, ControlLaw]]:
             offset += span
         a = fam.a_lo + min(p, span)
         segs = fam.prefix + (Segment(*fam.first, a),) + fam.mid
-        start = _state_after(segs, alpha, SOURCE.as_array())
+        start = _compose(segs, alpha, SOURCE.as_array())[0]
         final = Segment(*fam.final, _arc_exit_time(start, generator(*fam.final, alpha)))
         out.append((offset + (a - fam.a_lo), ControlLaw(_trim(segs + (final,)), alpha)))
     return out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import DomainError, complete_k, jacobi, jacobi_derived, sncndn
+from qoct import DomainError, complete_k, sncndn
 from qoct import elliptic
 from qoct import tolerances as tol
 from qoct.elliptic import _agm
@@ -44,28 +44,18 @@ def test_complete_k_domain():
             complete_k(bad)
 
 
-def test_jacobi_degenerate_moduli():
-    j = jacobi(1.0, 0.0)
-    assert (j.sn, j.cn, j.dn) == (math.sin(1.0), math.cos(1.0), 1.0)
-    j = jacobi(1.0, 1.0)
+def test_sncndn_degenerate_moduli():
+    assert sncndn(1.0, 0.0) == (math.sin(1.0), math.cos(1.0), 1.0)
     sech = 1.0 / math.cosh(1.0)
-    assert (j.sn, j.cn, j.dn) == (math.tanh(1.0), sech, sech)
-
-
-def test_jacobi_domain():
-    with pytest.raises(DomainError):
-        jacobi(1.0, 1.5)
-    with pytest.raises(DomainError):
-        jacobi(math.inf, 0.5)
+    assert sncndn(1.0, 1.0) == (math.tanh(1.0), sech, sech)
 
 
 def test_quarter_period_against_quadrature_k():
     k = 0.7
-    big_k = k_by_quadrature(k)
-    j = jacobi(big_k, k)
-    assert abs(j.sn - 1.0) < 1e-10
-    assert abs(j.cn) < 1e-10
-    assert abs(j.dn - math.sqrt(1.0 - k * k)) < 1e-10
+    sn, cn, dn = sncndn(k_by_quadrature(k), k)
+    assert abs(sn - 1.0) < 1e-10
+    assert abs(cn) < 1e-10
+    assert abs(dn - math.sqrt(1.0 - k * k)) < 1e-10
 
 
 def test_identities_random_sweep():
@@ -74,11 +64,11 @@ def test_identities_random_sweep():
     for _ in range(10**4):
         u = float(rng.uniform(-10.0, 10.0))
         k = float(rng.uniform(0.0, 0.999))
-        j = jacobi(u, k)
+        sn, cn, dn = sncndn(u, k)
         worst = max(
             worst,
-            abs(j.sn**2 + j.cn**2 - 1.0),
-            abs(j.dn**2 + k * k * j.sn**2 - 1.0),
+            abs(sn**2 + cn**2 - 1.0),
+            abs(dn**2 + k * k * sn**2 - 1.0),
         )
     assert worst < 1e-11
 
@@ -87,7 +77,7 @@ def test_periodicity():
     for k in (0.2, 0.6, 0.95):
         period = 4.0 * complete_k(k)
         for u in (-3.0, 0.4, 2.2):
-            assert abs(jacobi(u + period, k).sn - jacobi(u, k).sn) < 1e-9
+            assert abs(sncndn(u + period, k)[0] - sncndn(u, k)[0]) < 1e-9
 
 
 def test_sn_derivative_is_cn_dn():
@@ -96,22 +86,21 @@ def test_sn_derivative_is_cn_dn():
     for _ in range(200):
         u = float(rng.uniform(-5.0, 5.0))
         k = float(rng.uniform(0.05, 0.95))
-        num = (jacobi(u + h, k).sn - jacobi(u - h, k).sn) / (2.0 * h)
-        j = jacobi(u, k)
-        ref = j.cn * j.dn
+        num = (sncndn(u + h, k)[0] - sncndn(u - h, k)[0]) / (2.0 * h)
+        _, cn, dn = sncndn(u, k)
+        ref = cn * dn
         assert abs(num - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-def test_derived_quotients():
-    cd, sd, nd = jacobi_derived(0.9, 0.0)
-    assert (cd, sd, nd) == (math.cos(0.9), math.sin(0.9), 1.0)
-    cd, sd, nd = jacobi_derived(0.0, 0.63)
-    assert (cd, sd, nd) == (1.0, 0.0, 1.0)
-
-
 def test_first_cd_zero_is_quarter_period():
+    # cd = cn/dn; dn stays positive, so cd vanishes where cn does
     k = 0.3
-    root = bisect_root(lambda u: jacobi_derived(u, k)[0], 1.0, 2.0, 1e-12)
+
+    def cd(u):
+        _, cn, dn = sncndn(u, k)
+        return cn / dn
+
+    root = bisect_root(cd, 1.0, 2.0, 1e-12)
     assert abs(root - complete_k(k)) < 1e-10
 
 
@@ -147,15 +136,11 @@ def bits(values) -> tuple[str, ...]:
 
 
 @pytest.mark.parametrize("k", KERNEL_MODULI)
-def test_kernel_matches_the_wrappers_and_the_indexed_walk_bit_for_bit(k):
+def test_kernel_matches_the_indexed_walk_bit_for_bit(k):
     for u in KERNEL_ARGS:
         got = sncndn(u, k)
         assert type(got) is tuple
-        j = jacobi(u, k)
-        assert bits(got) == bits((j.sn, j.cn, j.dn))
         assert bits(got) == bits(sncndn_indexed(u, k))
-        sn, cn, dn = got
-        assert bits(jacobi_derived(u, k)) == bits((cn / dn, sn / dn, 1.0 / dn))
 
 
 def test_kernel_at_zero_and_tiny_arguments():

@@ -30,6 +30,7 @@ from qoct import (
 from qoct.acceptance import _first_v1_zero, solved_m3
 from qoct.errors import RegimeError
 from qoct.integrator import first_exit
+from qoct import min_energy
 from qoct.min_energy import _horizon, extremal_control_bulk
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -282,6 +283,17 @@ def test_energy_sweep_runs_each_extremal_to_the_boundary():
         assert len(traj.times) <= 12
     with pytest.raises(DomainError):
         energy_sweep(2.0, 0, 5)
+
+
+@pytest.mark.parametrize("n, samples", [(2.5, 10), (3, 0.5), (3, 2.5), (None, 10)])
+def test_energy_sweep_rejects_fractional_counts_before_solving(n, samples, monkeypatch):
+    # n = 2.5 used to escape as range()'s TypeError, after a full solve
+    def no_solve(*args):
+        raise AssertionError("solved before checking the counts")
+
+    monkeypatch.setattr(min_energy, "solve_m3", no_solve)
+    with pytest.raises(DomainError):
+        energy_sweep(0.5, n, samples)
 
 
 def test_solve_raises_when_the_best_endpoint_misses():

@@ -279,11 +279,11 @@ def test_synthesis_sweep_runs_each_law_to_octant_exit():
             assert np.min(states[:-1]) >= -1e-12
 
 
-def test_synthesis_sweep_rejects_bad_input():
+@pytest.mark.parametrize("alpha, n", [(1.0, 0), (float("nan"), 3), (0.5, 2.5), (0.5, "3")])
+def test_synthesis_sweep_rejects_bad_input(alpha, n):
+    # a fractional count used to escape as range()'s TypeError
     with pytest.raises(DomainError):
-        synthesis_sweep(1.0, 0)
-    with pytest.raises(DomainError):
-        synthesis_sweep(float("nan"), 3)
+        synthesis_sweep(alpha, n)
 
 
 def test_source_returns_empty_law():
@@ -362,6 +362,22 @@ def test_bulk_control_matches_control_at_and_beside_switch_times(law):
         assert (u1.hex(), u2.hex()) == (float(want[0]).hex(), float(want[1]).hex())
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_control_rejects_a_non_finite_time(t):
+    # NaN used to read as a time before the first switch
+    law = min_time_law(0.5)
+    for call in (law.control, ControlLaw((), 0.5).control):
+        with pytest.raises(DomainError):
+            call(t)
+    for bulk in (law.control_bulk, ControlLaw((), 0.5).control_bulk):
+        with pytest.raises(DomainError):
+            bulk(np.array([0.1, t]))
+    # finite times outside [0, T] keep the first and last segments' controls
+    assert law.control(-1.0) == (1.0, 1.0) and law.control(1e9) == (0.0, 1.0)
+    u1s, u2s = law.control_bulk(np.array([-1.0, 1e9]))
+    assert (u1s.tolist(), u2s.tolist()) == ([1.0, 0.0], [1.0, 1.0])
+
+
 def test_bulk_control_of_an_empty_law_is_zero():
     u1s, u2s = ControlLaw((), 1.0).control_bulk(np.array([0.0, 0.5]))
     assert u1s.tolist() == [0.0, 0.0] and u2s.tolist() == [0.0, 0.0]
@@ -369,6 +385,20 @@ def test_bulk_control_of_an_empty_law_is_zero():
 
 # exact octant check of synthesis candidates: the lowest component of a law,
 # arc by arc, against dense sampling
+
+
+def _walk(law: ControlLaw) -> tuple[np.ndarray, float]:
+    """(endpoint, lowest component) of a law composed exactly from the source."""
+    return to._compose(law.segments, law.alpha, SOURCE.as_array())
+
+
+def _rotated(law: ControlLaw, start: np.ndarray) -> np.ndarray:
+    """The law's segments applied as whole Rodrigues rotations, one by one."""
+    for seg in law.segments:
+        if seg.duration > 0.0:
+            g = generator(seg.u1, seg.u2, law.alpha)
+            start = rodrigues_exp(g, seg.duration).apply_array(start)
+    return start
 
 
 def _sampled_low(law: ControlLaw, samples: int) -> tuple[float, float]:
@@ -397,7 +427,7 @@ def _sampled_low(law: ControlLaw, samples: int) -> tuple[float, float]:
 _CONTROLS = [(u1, u2) for u1 in (-1.0, 0.0, 1.0) for u2 in (-1.0, 0.0, 1.0) if u1 or u2]
 
 
-def test_arc_walk_lowest_component_brackets_dense_sampling():
+def test_compose_lowest_component_brackets_dense_sampling():
     # never above a 20 000-sample minimum (beyond rounding), never below it
     # by more than what the samples can miss, R (w dt)^2 / 8
     rng = np.random.default_rng(1212)
@@ -408,8 +438,8 @@ def test_arc_walk_lowest_component_brackets_dense_sampling():
             u1, u2 = _CONTROLS[int(rng.integers(len(_CONTROLS)))]
             segs.append(Segment(u1, u2, float(rng.uniform(0.0, 3.0))))
         law = ControlLaw(tuple(segs), alpha)
-        end, low = to._arc_walk(law)
-        assert end.tobytes() == to._state_after(law.segments, alpha, SOURCE.as_array()).tobytes()
+        end, low = _walk(law)
+        assert end.tobytes() == _rotated(law, SOURCE.as_array()).tobytes()
         sampled, err = _sampled_low(law, 20_000)
         assert low <= sampled + 1e-15
         assert low >= sampled - err - 1e-15
@@ -430,33 +460,56 @@ def _dip_law(depth: float) -> ControlLaw:
     )
 
 
-def test_arc_walk_rejects_a_dip_between_the_old_samples():
+def test_compose_rejects_a_dip_between_the_old_samples():
     law = _dip_law(2e-9)
     old = propagate_law(SOURCE, law, max_step=law.total_duration / 200)
     assert float(np.min(old.states)) >= -tol.SYNTHESIS_ACCEPT
-    _, low = to._arc_walk(law)
+    _, low = _walk(law)
     assert low < -tol.SYNTHESIS_ACCEPT
     assert abs(low + 2e-9) < 1e-15
     # a dip inside the acceptance passes
-    _, low = to._arc_walk(_dip_law(5e-10))
+    _, low = _walk(_dip_law(5e-10))
     assert -tol.SYNTHESIS_ACCEPT < low < 0.0
 
 
-def test_arc_walk_passes_arcs_on_a_face_and_zero_durations():
+def test_compose_passes_arcs_on_a_face_and_zero_durations():
     # the (0,1) singular arc runs on psi1 = 0, the (1,0) arc on the equator
     for law in (min_time_law(0.5), min_time_law(2.0)):
-        _, low = to._arc_walk(law)
+        _, low = _walk(law)
         assert low >= -1e-15
     psi1_zero = synthesis_law(0.5, StateS2(0.0, math.sqrt(0.5), math.sqrt(0.5)))
     assert (psi1_zero.segments[-1].u1, psi1_zero.segments[-1].u2) == (0.0, 1.0)
-    assert to._arc_walk(psi1_zero)[1] >= -1e-15
+    assert _walk(psi1_zero)[1] >= -1e-15
     law = ControlLaw((Segment(1.0, 0.0, 0.7), Segment(1.0, 1.0, 0.6)), 2.0)
     padded = ControlLaw(
         (Segment(1.0, 1.0, 0.0), law.segments[0], Segment(-1.0, 1.0, 0.0), law.segments[1]), 2.0
     )
-    (end, low), (end0, low0) = to._arc_walk(padded), to._arc_walk(law)
+    (end, low), (end0, low0) = _walk(padded), _walk(law)
     assert end.tobytes() == end0.tobytes() and low == low0 >= -1e-15
-    assert to._arc_walk(ControlLaw((Segment(1.0, 1.0, 0.0),), 2.0))[1] == 0.0
+    assert _walk(ControlLaw((Segment(1.0, 1.0, 0.0),), 2.0))[1] == 0.0
+
+
+def test_a_standing_arc_composes_silently_and_keeps_its_bits():
+    # u1 = u2 = 0 holds the state (rate w = 0): it has no circle form and no
+    # trough, and no division by w^2 may warn (pytest turns warnings into errors)
+    law = ControlLaw(
+        (Segment(1.0, 1.0, 0.4), Segment(0.0, 0.0, 2.5), Segment(0.0, 1.0, 0.3)), 0.7
+    )
+    end, low = _walk(law)
+    assert end.tobytes() == _rotated(law, SOURCE.as_array()).tobytes()
+    assert low == 0.0
+    for t in (0.2, 0.4, 1.7, 2.9, 3.05, law.total_duration):
+        cut, remaining = [], t
+        for seg in law.segments:
+            step = min(seg.duration, max(remaining, 0.0))
+            cut.append(Segment(seg.u1, seg.u2, step))
+            remaining -= step
+        want = _rotated(ControlLaw(tuple(cut), law.alpha), SOURCE.as_array())
+        assert law_state(SOURCE, law, t).tobytes() == want.tobytes()
+    traj = propagate_law(SOURCE, law, max_step=0.1)
+    held = traj.states[(traj.times > 0.45) & (traj.times < 2.85)]
+    assert len(held) > 20 and (held == held[0]).all()
+    assert np.max(np.abs(held[0] - law_state(SOURCE, law, 0.4))) < 1e-15
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
@@ -464,6 +517,12 @@ def test_law_state_rejects_non_finite_and_negative_times(t):
     # NaN and inf used to give the law's endpoint, a negative time the source
     with pytest.raises(DomainError):
         law_state(SOURCE, min_time_law(0.5), t)
+
+
+def test_law_state_reports_an_overflowing_rate_as_a_domain_error():
+    # the rotation is built before the arc's circle, whose inf/inf would warn
+    with pytest.raises(DomainError):
+        law_state(TARGET, ControlLaw((Segment(1.0, 1.0, 1.0),), 1e200), 0.5)
 
 
 @pytest.mark.parametrize("max_step", [math.nan, 0.0, -0.1, math.inf])
@@ -639,7 +698,7 @@ def test_reach_screen_scans_a_target_just_beyond_the_tangent(alpha, screened):
     (law,) = to._family_candidates(fam, alpha, target)
     assert [(s.u1, s.u2) for s in law.segments] == [(1.0, 1.0)]
     assert abs(law.segments[0].duration - dur) < 1e-12
-    assert float(np.linalg.norm(to._arc_walk(law)[0] - target)) < 1e-13
+    assert float(np.linalg.norm(_walk(law)[0] - target)) < 1e-13
 
     target, gap = lifted(2.0 * tol.SYNTHESIS_SCREEN_MARGIN)
     assert gap > tol.SYNTHESIS_SCREEN_MARGIN
