@@ -22,10 +22,10 @@ def require(name: str, value: float, low: float = 0.0, closed: bool = False) -> 
         raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
 
 
-def require_count(name: str, value, low: int = 1) -> None:
-    """Raise DomainError unless value is a whole number (an Integral) >= low."""
-    if not (isinstance(value, Integral) and value >= low):
-        raise DomainError(f"{name} must be a whole number >= {low}, got {value!r}")
+def require_count(name: str, value) -> None:
+    """Raise DomainError unless value is a whole number (an Integral) >= 1."""
+    if not (isinstance(value, Integral) and value >= 1):
+        raise DomainError(f"{name} must be a whole number >= 1, got {value!r}")
 
 
 class SingularLocusError(DomainError):

@@ -371,8 +371,12 @@ def _arc_angle_to(p: np.ndarray, target: np.ndarray, g: SkewGenerator) -> float:
     if float(np.linalg.norm(B)) < tol.ARC_ON_AXIS:
         return 0.0
     d = target - A
-    ang = math.atan2(float(C @ d), float(B @ d)) % (2.0 * math.pi)
-    return 0.0 if ang > 2.0 * math.pi - tol.ARC_ANGLE_WRAP else ang
+    ang = math.atan2(float(C @ d), float(B @ d))
+    if ang < 0.0:
+        ang += 2.0 * math.pi
+    if ang > 2.0 * math.pi - tol.ARC_ANGLE_WRAP:
+        ang = 0.0
+    return ang
 
 
 def _trim(segments) -> tuple[Segment, ...]:

@@ -19,9 +19,7 @@ from qoct import (
     rodrigues_exp,
     switching_propagator,
 )
-from qoct import tolerances as tol
 from qoct.so3 import _exp_coeffs, arc_form
-from qoct.time_optimal import _arc_angle_to
 from qoct.tolerances import STRUCTURAL
 
 
@@ -292,41 +290,3 @@ def test_arc_form_traces_the_rodrigues_rotation(g, p, t):
     n = g.axis() / w
     assert np.max(np.abs(A - (p @ n) * n)) <= 1e-15
     assert abs(float(B @ n)) <= 1e-15 and abs(float(C @ n)) <= 1e-15
-
-
-@settings(max_examples=500, deadline=None)
-@given(g=GENERATORS, p=UNIT, t=st.floats(0.0, 30.0))
-@example(g=generator(1.0, 1.0, 2.0), p=np.array([1.0, 0.0, 0.0]), t=0.0)
-@example(g=generator(1.0, 1.0, 2.0), p=np.array([1.0, 0.0, 0.0]),
-         t=2.0 * math.pi / math.sqrt(5.0))  # one full turn
-def test_final_arc_angle_gives_back_the_time_mod_the_period(g, p, t):
-    w, _, B, _, _ = arc_form(g, p)
-    period = 2.0 * math.pi / w
-    target = rodrigues_exp(g, t).apply_array(p)
-    ang = _arc_angle_to(p, target, g)
-    assert 0.0 <= ang <= 2.0 * math.pi - tol.ARC_ANGLE_WRAP
-    if float(np.linalg.norm(B)) < tol.ARC_ON_AXIS:
-        assert ang == 0.0
-        return
-    want = (t % period) * w
-    gap = abs(ang - want)
-    gap = min(gap, 2.0 * math.pi - gap)  # compared on the circle
-    if want > 2.0 * math.pi - 2.0 * tol.ARC_ANGLE_WRAP:
-        gap = min(gap, ang)  # an angle just short of 2*pi wraps to zero
-    assert gap * float(np.linalg.norm(B)) <= 1e-14 * (1.0 + w * t)
-
-
-def test_final_arc_angle_on_the_axis_and_near_a_full_turn():
-    g = generator(1.0, 1.0, 2.0)
-    w = g.rate
-    axis = g.axis() / w
-    assert _arc_angle_to(axis, axis, g) == 0.0
-    p = np.array([1.0, 0.0, 0.0])
-    turn = 2.0 * math.pi / w
-    for t in (turn, turn - 0.5 * tol.ARC_ANGLE_WRAP / w):
-        assert _arc_angle_to(p, rodrigues_exp(g, t).apply_array(p), g) == 0.0
-    t = turn - 10.0 * tol.ARC_ANGLE_WRAP / w
-    ang = _arc_angle_to(p, rodrigues_exp(g, t).apply_array(p), g)
-    assert ang > 2.0 * math.pi - 20.0 * tol.ARC_ANGLE_WRAP and abs(ang / w - t) < 1e-12
-    quarter = 0.25 * turn
-    assert abs(_arc_angle_to(p, rodrigues_exp(g, quarter).apply_array(p), g) / w - quarter) < 1e-15

@@ -6,6 +6,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qoct import (
     ControlLaw,
@@ -31,7 +33,7 @@ from qoct import (
 )
 from qoct import time_optimal as to
 from qoct import tolerances as tol
-from qoct.so3 import generator, rodrigues_exp
+from qoct.so3 import arc_form, generator, rodrigues_exp
 from qoct.time_optimal import law_state
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -510,6 +512,52 @@ def test_a_standing_arc_composes_silently_and_keeps_its_bits():
     held = traj.states[(traj.times > 0.45) & (traj.times < 2.85)]
     assert len(held) > 20 and (held == held[0]).all()
     assert np.max(np.abs(held[0] - law_state(SOURCE, law, 0.4))) < 1e-15
+
+
+# -- the final arc's angle -----------------------------------------------------
+
+UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: 0.1 < math.hypot(*v)).map(lambda v: np.array(v) / math.hypot(*v))
+ARCS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.05, 20.0)).filter(
+    lambda c: math.hypot(c[0], c[2] * c[1]) > 0.01).map(lambda c: generator(*c))
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=ARCS, p=UNIT, t=st.floats(0.0, 30.0))
+@example(g=generator(1.0, 1.0, 2.0), p=np.array([1.0, 0.0, 0.0]), t=0.0)
+@example(g=generator(1.0, 1.0, 2.0), p=np.array([1.0, 0.0, 0.0]),
+         t=2.0 * math.pi / math.sqrt(5.0))  # one full turn
+def test_final_arc_angle_gives_back_the_time_mod_the_period(g, p, t):
+    w, _, B, _, _ = arc_form(g, p)
+    period = 2.0 * math.pi / w
+    target = rodrigues_exp(g, t).apply_array(p)
+    ang = to._arc_angle_to(p, target, g)
+    assert 0.0 <= ang <= 2.0 * math.pi - tol.ARC_ANGLE_WRAP
+    if float(np.linalg.norm(B)) < tol.ARC_ON_AXIS:
+        assert ang == 0.0
+        return
+    want = (t % period) * w
+    gap = abs(ang - want)
+    gap = min(gap, 2.0 * math.pi - gap)  # compared on the circle
+    if want > 2.0 * math.pi - 2.0 * tol.ARC_ANGLE_WRAP:
+        gap = min(gap, ang)  # an angle just short of 2*pi wraps to zero
+    assert gap * float(np.linalg.norm(B)) <= 1e-14 * (1.0 + w * t)
+
+
+def test_final_arc_angle_on_the_axis_and_near_a_full_turn():
+    g = generator(1.0, 1.0, 2.0)
+    w = g.rate
+    axis = g.axis() / w
+    assert to._arc_angle_to(axis, axis, g) == 0.0
+    p = np.array([1.0, 0.0, 0.0])
+    turn = 2.0 * math.pi / w
+    for t in (turn, turn - 0.5 * tol.ARC_ANGLE_WRAP / w):
+        assert to._arc_angle_to(p, rodrigues_exp(g, t).apply_array(p), g) == 0.0
+    t = turn - 10.0 * tol.ARC_ANGLE_WRAP / w
+    ang = to._arc_angle_to(p, rodrigues_exp(g, t).apply_array(p), g)
+    assert ang > 2.0 * math.pi - 20.0 * tol.ARC_ANGLE_WRAP and abs(ang / w - t) < 1e-12
+    quarter = 0.25 * turn
+    assert abs(to._arc_angle_to(p, rodrigues_exp(g, quarter).apply_array(p), g) / w - quarter) < 1e-15
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
