@@ -226,20 +226,10 @@ def min_time_law(alpha: float) -> ControlLaw:
     if _is_isotropic(alpha):
         return ControlLaw((Segment(1.0, 1.0, math.pi / math.sqrt(2.0)),), alpha)
     if alpha < 1.0:
-        return ControlLaw(
-            (
-                Segment(1.0, 1.0, t_alpha(alpha)),
-                Segment(0.0, 1.0, math.acos(alpha) / alpha),
-            ),
-            alpha,
-        )
-    return ControlLaw(
-        (
-            Segment(1.0, 0.0, math.acos(1.0 / alpha)),
-            Segment(1.0, 1.0, t_alpha(alpha)),
-        ),
-        alpha,
-    )
+        segs = (Segment(1.0, 1.0, t_alpha(alpha)), Segment(0.0, 1.0, math.acos(alpha) / alpha))
+    else:
+        segs = (Segment(1.0, 0.0, math.acos(1.0 / alpha)), Segment(1.0, 1.0, t_alpha(alpha)))
+    return ControlLaw(segs, alpha)
 
 
 def _compose(segments, alpha: float, start: np.ndarray) -> tuple[np.ndarray, float]:
