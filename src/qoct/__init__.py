@@ -49,7 +49,6 @@ from .oracle import Splitmix64, bisect_root, quadrature, sample_search_min_time
 from .so3 import (
     SOURCE,
     TARGET,
-    Rotation,
     SkewGenerator,
     StateS2,
     bracket,

@@ -291,7 +291,8 @@ def first_exit(
     """Locate the first crossing of the faces psi1 = 0 or psi2 = 0.
 
     The crossing is detected by a strict sign change between consecutive
-    steps and then bisected in time to a width of 1e-11.  Starting exactly on
+    steps and then bisected in time to a width of 1e-11, or to adjacent
+    floats where t is too large for that.  Starting exactly on
     a face (psi2 = 0 at the source) does not count as a crossing.  With
     ``bulk_control`` (as for ``propagate``) the scan's steps read their
     stage controls from it; the bisection calls control.
@@ -330,11 +331,18 @@ def first_exit(
             elif state[idx] < -tol.EXIT_DEAD_BAND and last_pos[idx] is not None:
                 lo_t, lo_state = last_pos[idx]
                 hi_t = t
+                # past t = 2^16 the float spacing of t exceeds the width, and
+                # the midpoint of adjacent floats is one of them: stop where
+                # the bracket would not shrink
                 while hi_t - lo_t > tol.EXIT_TIME_BISECT:
                     mid_t = 0.5 * (lo_t + hi_t)
+                    if mid_t == lo_t:
+                        break
                     mid_state = _rk4(lo_state, lo_t, *_steps(mid_t - lo_t, h), control, rhs)
                     if mid_state[idx] > 0.0:
                         lo_t, lo_state = mid_t, mid_state
+                    elif mid_t == hi_t:
+                        break
                     else:
                         hi_t = mid_t
                 crossings.append((0.5 * (lo_t + hi_t), face, lo_state))

@@ -103,7 +103,10 @@ def _simpson(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Plain bisection for a sign change of f on [lo, hi], to a width tol > 0."""
+    """Plain bisection for a sign change of f on [lo, hi], to a width tol > 0.
+
+    The bracket stops shrinking at two adjacent floats, whatever tol is.
+    """
     require("bisection tolerance", tol)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -114,6 +117,8 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         raise DomainError("bisect_root requires a sign change on the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # tol is below the float spacing of the bracket
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

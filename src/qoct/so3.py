@@ -95,7 +95,7 @@ class SkewGenerator:
         """Rotation axis scaled by the angular rate."""
         return np.array([self.m2, -self.m3, self.m1])
 
-    @property
+    @cached_property
     def rate(self) -> float:
         """Angular speed of exp(t*G), i.e. the Euclidean norm of the axis."""
         return math.sqrt(self.m1 * self.m1 + self.m2 * self.m2 + self.m3 * self.m3)
@@ -109,42 +109,6 @@ class SkewGenerator:
                 self.m3 * x + self.m2 * y,
             ]
         )
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Orthogonal 3x3 matrix with determinant one, checked on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (3, 3):
-            raise DomainError("rotation matrix must be 3x3")
-        if not np.isfinite(m).all():
-            raise DomainError("rotation matrix entries must be finite")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > tol.STRUCTURAL:
-            raise DomainError("matrix is not orthogonal within tolerance")
-        if abs(np.linalg.det(m) - 1.0) > tol.STRUCTURAL:
-            raise DomainError("matrix determinant is not +1 within tolerance")
-
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
-    def apply(self, state: StateS2) -> StateS2:
-        return StateS2.from_array(self.matrix @ state.as_array())
-
-    def apply_array(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """self after other (matrix product self @ other)."""
-        return Rotation(self.matrix @ other.matrix)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.matrix.T.copy())
 
 
 def generator(u1: float, u2: float, alpha: float) -> SkewGenerator:
@@ -182,15 +146,8 @@ def _exp_coeffs(rate: float, t: float) -> tuple[float, float]:
     return a, b
 
 
-def _rotation(m: np.ndarray) -> Rotation:
-    """A Rotation of a matrix that is one by construction, left unchecked."""
-    r = object.__new__(Rotation)
-    object.__setattr__(r, "matrix", m)
-    return r
-
-
-def rodrigues_exp(g: SkewGenerator, t: float) -> Rotation:
-    """Exact matrix exponential exp(t*G) of a skew generator.
+def rodrigues_exp(g: SkewGenerator, t: float) -> np.ndarray:
+    """Exact matrix exponential exp(t*G) of a skew generator, as a 3x3 array.
 
     The matrix is a rotation by construction, so the guard is on the
     scalars, not on the product: with t^2, rate^2 and rate*t finite,
@@ -205,7 +162,7 @@ def rodrigues_exp(g: SkewGenerator, t: float) -> Rotation:
     if not (math.isfinite(t * t) and math.isfinite(rate * rate) and math.isfinite(rate * t)):
         raise DomainError(f"rotation needs finite t^2, rate^2 and rate*t, got {rate!r}, {t!r}")
     a, b = _exp_coeffs(rate, t)
-    return _rotation(_EYE + a * g._matrix + b * g._square)
+    return _EYE + a * g._matrix + b * g._square
 
 
 def arc_form(g: SkewGenerator, p: np.ndarray) -> tuple:

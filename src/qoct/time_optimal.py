@@ -250,7 +250,7 @@ def _compose(segments, alpha: float, start: np.ndarray) -> tuple[np.ndarray, flo
                 for a0, r, phi in rows:
                     if phi + math.pi <= w * seg.duration:
                         low = min(low, a0 - r)
-            state = rot.apply_array(state)
+            state = rot @ state
             low = min(low, float(min(state)))
     return state, low
 
@@ -293,7 +293,7 @@ def propagate_law(psi0: StateS2, law: ControlLaw, max_step: float | None = None)
         dt = seg.duration / n
         r = rodrigues_exp(generator(seg.u1, seg.u2, law.alpha), dt)
         for _ in range(n):
-            state = r.apply_array(state)
+            state = r @ state
             t += dt
             ts.append(t)
             states.append(state)
@@ -407,7 +407,7 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
 
     q = n_final
     for r in reversed(mid):
-        q = r.matrix.T @ q
+        q = r.T @ q
     _, A, B, C, _ = arc_form(g_first, base)
     reach = math.hypot(float(B @ q), float(C @ q))
     if abs(float(A @ q) - level) > reach + tol.SYNTHESIS_SCREEN_MARGIN:
@@ -415,15 +415,15 @@ def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
 
     def point(a: float) -> np.ndarray:
         """Start of the final arc after the first control is held for a."""
-        state = rodrigues_exp(g_first, a).apply_array(base)
+        state = rodrigues_exp(g_first, a) @ base
         for r in mid:
-            state = r.apply_array(state)
+            state = r @ state
         return state
 
     def miss(a: float) -> float:
         return float(point(a) @ n_final) - level
 
-    grid = np.linspace(fam.a_lo, fam.a_hi, 257)
+    grid = np.linspace(fam.a_lo, fam.a_hi, 257).tolist()
     vals = [miss(a) for a in grid]
     roots = []
     for i in range(len(grid) - 1):

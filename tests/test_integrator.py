@@ -22,7 +22,7 @@ from qoct import tolerances as tol
 from qoct import integrator
 from qoct.integrator import _rk4, _sphere_rhs, _steps, propagate
 from qoct.min_energy import EnergyExtremal, extremal_control, extremal_control_bulk
-from qoct.so3 import StateS2
+from qoct.so3 import StateS2, generator, rodrigues_exp
 
 
 def test_plane_rotation_endpoint():
@@ -75,6 +75,20 @@ def test_first_exit_plane_rotation():
     assert face is ExitFace.PSI1
     assert abs(t_exit - math.pi / 2.0) < 1e-9
     assert np.linalg.norm(state - [0.0, 1.0, 0.0]) < 1e-8
+
+
+def test_first_exit_bisection_stops_where_t_has_no_finer_float():
+    # controls of 1e-6 cross psi2 = 0 near t = 2.2e6, where the float spacing
+    # of t exceeds the 1e-11 bisection width: the loop used to run forever
+    face, t_exit, state = first_exit(SOURCE, lambda t: (1e-6, 1e-6), 1.0, 1e7, 100.0)
+    assert face is ExitFace.PSI2
+    assert abs(state[1]) < 1e-12
+    # the scan's steps end on multiples of 100; the exact rotation changes
+    # the sign of psi2 across the step that holds the exit time
+    g = generator(1e-6, 1e-6, 1.0)
+    start = 100.0 * math.floor(t_exit / 100.0)
+    assert (rodrigues_exp(g, start) @ SOURCE.as_array())[1] > 0.0
+    assert (rodrigues_exp(g, start + 100.0) @ SOURCE.as_array())[1] < 0.0
 
 
 def test_first_exit_energy_extremals():

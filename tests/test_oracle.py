@@ -83,3 +83,12 @@ def test_bisect_root_rejects_a_bad_tolerance(tol):
     # a NaN tolerance used to return the bracket midpoint without bisecting
     with pytest.raises(DomainError):
         bisect_root(lambda x: x - 0.3, 0.0, 1.0, tol)
+
+
+def test_bisect_root_stops_at_adjacent_floats():
+    # a width of 1e-12 is below the float spacing near 1e6 (1.2e-10): the
+    # loop used to run forever on a midpoint equal to one end
+    lo, hi = 1e6, 1e6 + 1.0
+    x = bisect_root(lambda x: x - 1e6 - 1.0 / 3.0, lo, hi, 1e-12)
+    assert lo <= x <= hi
+    assert abs(x - (1e6 + 1.0 / 3.0)) <= math.ulp(1e6)

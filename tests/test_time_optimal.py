@@ -161,6 +161,27 @@ def test_min_time_inversion_symmetry():
         assert abs(t_big - alpha * t_small) < 1e-12
 
 
+_ISOTROPIC_TIME = math.pi / math.sqrt(2.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=st.one_of(st.floats(0.05, 0.999), st.floats(1.0 - 1e-11, 1.0 + 1e-11)))
+@example(alpha=1.0 - 5e-13)  # inside the snap window
+@example(alpha=1.0 - 2e-12)  # just outside it
+@example(alpha=1.0)
+def test_min_time_inversion_symmetry_property(alpha):
+    residual = abs(min_time_law(1.0 / alpha).total_duration
+                   - alpha * min_time_law(alpha).total_duration)
+    if tol.ALPHA_ONE_REL >= min(abs(alpha - 1.0), abs(1.0 / alpha - 1.0)):
+        # min_time_law snaps alpha within ALPHA_ONE_REL of one to the
+        # isotropic pi/sqrt(2) arc, which keeps the law's shape at one but not
+        # the symmetry: T(1/alpha) - alpha T(alpha) is (pi/sqrt(2)) |1 - alpha|
+        # there, up to 2.2e-12, plus rounding
+        assert residual <= _ISOTROPIC_TIME * abs(1.0 - alpha) + 1e-15
+    else:
+        assert residual <= 1e-12
+
+
 def test_propagate_empty_law():
     traj = propagate_law(SOURCE, ControlLaw((), 1.0))
     assert len(traj.times) == 1
@@ -206,6 +227,8 @@ def test_synthesis_random_targets():
             law = synthesis_law(alpha, StateS2.from_array(v))
             end = propagate_law(SOURCE, law).endpoint
             assert np.linalg.norm(end - v) < 1e-9
+            # the scan's grid is walked as floats, so no root is a numpy scalar
+            assert all(type(s.duration) is float for s in law.segments)
 
 
 def test_synthesis_time_is_additive_along_trajectories():
@@ -310,7 +333,7 @@ def _composed(durations) -> np.ndarray:
     """The source carried along the first len(durations) segments of _LAW."""
     state = SOURCE.as_array()
     for seg, dur in zip(_LAW.segments, durations):
-        state = rodrigues_exp(generator(seg.u1, seg.u2, _LAW.alpha), dur).apply_array(state)
+        state = rodrigues_exp(generator(seg.u1, seg.u2, _LAW.alpha), dur) @ state
     return state
 
 
@@ -399,7 +422,7 @@ def _rotated(law: ControlLaw, start: np.ndarray) -> np.ndarray:
     for seg in law.segments:
         if seg.duration > 0.0:
             g = generator(seg.u1, seg.u2, law.alpha)
-            start = rodrigues_exp(g, seg.duration).apply_array(start)
+            start = rodrigues_exp(g, seg.duration) @ start
     return start
 
 
@@ -422,7 +445,7 @@ def _sampled_low(law: ControlLaw, samples: int) -> tuple[float, float]:
         axis = g.axis() / w
         radius = float(np.linalg.norm(state - (state @ axis) * axis))
         err = max(err, radius * (w * seg.duration / n) ** 2 / 8.0)
-        state = rodrigues_exp(g, seg.duration).apply_array(state)
+        state = rodrigues_exp(g, seg.duration) @ state
     return low, err
 
 
@@ -530,7 +553,7 @@ ARCS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.05, 20.
 def test_final_arc_angle_gives_back_the_time_mod_the_period(g, p, t):
     w, _, B, _, _ = arc_form(g, p)
     period = 2.0 * math.pi / w
-    target = rodrigues_exp(g, t).apply_array(p)
+    target = rodrigues_exp(g, t) @ p
     ang = to._arc_angle_to(p, target, g)
     assert 0.0 <= ang <= 2.0 * math.pi - tol.ARC_ANGLE_WRAP
     if float(np.linalg.norm(B)) < tol.ARC_ON_AXIS:
@@ -552,12 +575,12 @@ def test_final_arc_angle_on_the_axis_and_near_a_full_turn():
     p = np.array([1.0, 0.0, 0.0])
     turn = 2.0 * math.pi / w
     for t in (turn, turn - 0.5 * tol.ARC_ANGLE_WRAP / w):
-        assert to._arc_angle_to(p, rodrigues_exp(g, t).apply_array(p), g) == 0.0
+        assert to._arc_angle_to(p, rodrigues_exp(g, t) @ p, g) == 0.0
     t = turn - 10.0 * tol.ARC_ANGLE_WRAP / w
-    ang = to._arc_angle_to(p, rodrigues_exp(g, t).apply_array(p), g)
+    ang = to._arc_angle_to(p, rodrigues_exp(g, t) @ p, g)
     assert ang > 2.0 * math.pi - 20.0 * tol.ARC_ANGLE_WRAP and abs(ang / w - t) < 1e-12
     quarter = 0.25 * turn
-    assert abs(to._arc_angle_to(p, rodrigues_exp(g, quarter).apply_array(p), g) / w - quarter) < 1e-15
+    assert abs(to._arc_angle_to(p, rodrigues_exp(g, quarter) @ p, g) / w - quarter) < 1e-15
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
@@ -639,14 +662,14 @@ def _reference_scan(fam, alpha: float, target: np.ndarray) -> tuple[list, float,
     """
     p = SOURCE.as_array()
     for s in fam.prefix:
-        p = rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration).apply_array(p)
+        p = rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration) @ p
     g = generator(*fam.first, alpha)
     G, w = g.matrix(), g.rate
     coeffs = np.array([p + G @ G @ p / (w * w), -G @ G @ p / (w * w), G @ p / w])
     grid = np.linspace(fam.a_lo, fam.a_hi, 257)
     pts = coeffs[0] + np.outer(np.cos(w * grid), coeffs[1]) + np.outer(np.sin(w * grid), coeffs[2])
     for s in fam.mid:
-        r = rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration).matrix
+        r = rodrigues_exp(generator(s.u1, s.u2, alpha), s.duration)
         pts, coeffs = pts @ r.T, coeffs @ r.T
     g_final = generator(*fam.final, alpha)
     n = g_final.axis() / g_final.rate
@@ -732,7 +755,7 @@ def test_reach_screen_scans_a_target_just_beyond_the_tangent(alpha, screened):
     g_final = generator(*fam.final, alpha)
     n = g_final.axis() / g_final.rate
     dur = 0.6 * t_alpha(alpha)
-    on_arc = rodrigues_exp(g_final, dur).apply_array(SOURCE.as_array())
+    on_arc = rodrigues_exp(g_final, dur) @ SOURCE.as_array()
 
     def lifted(gap: float) -> tuple[np.ndarray, float]:
         level = float(on_arc @ n)
