@@ -187,20 +187,15 @@ def _cmd_lift(args) -> int:
     require("step h", args.h)
     if args.mode == "time":
         law = min_time_law(args.alpha)
-        fn, switches = law.as_control()
+        ctrl, bulk, switches = law.control, law.control_bulk, law.switch_times()
         T = law.total_duration
-        u1 = lambda t: fn(t)[0]
-        u2 = lambda t: fn(t)[1]
-        bulk = law.control_bulk
     else:
         m3 = solve_m3(args.alpha, args.tol)
         extremal = EnergyExtremal(args.alpha, m3)
         ctrl, bulk = extremal_control(extremal), extremal_control_bulk(extremal)
         T = transfer_time(args.alpha, m3)
         switches = ()
-        u1 = lambda t: ctrl(t)[0]
-        u2 = lambda t: ctrl(t)[1]
-    f1, f2 = lift_controls(u1, u2, spec)
+    f1, f2 = lift_controls(ctrl, spec)
     psi0 = ComplexState(np.array([1.0 + 0.0j, 0.0j, 0.0j]))
     traj = simulate_complex(
         psi0, f1, f2, spec, args.alpha, T, args.h, switch_times=switches,

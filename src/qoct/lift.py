@@ -59,11 +59,11 @@ class ComplexState:
         return np.abs(self.amplitudes) ** 2
 
 
-def lift_controls(u1, u2, spec: LevelSpec):
-    """Resonant complex pulses from real control signals.
+def lift_controls(control, spec: LevelSpec):
+    """Resonant complex pulses from a real control law.
 
     Args:
-        u1, u2: callables t -> real control value.
+        control: callable t -> (u1, u2), the real control values.
         spec: level energies and phases.
 
     Returns:
@@ -73,10 +73,10 @@ def lift_controls(u1, u2, spec: LevelSpec):
     w2 = spec.e3 - spec.e2
 
     def f1(t):
-        return u1(t) * cmath.exp(1j * (w1 * t + spec.xi1))
+        return control(t)[0] * cmath.exp(1j * (w1 * t + spec.xi1))
 
     def f2(t):
-        return u2(t) * cmath.exp(1j * (w2 * t + spec.xi2))
+        return control(t)[1] * cmath.exp(1j * (w2 * t + spec.xi2))
 
     return f1, f2
 

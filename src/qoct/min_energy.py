@@ -25,7 +25,7 @@ from .elliptic import complete_k_comp, landen_range, sncndn, sncndn_bulk
 from .errors import BracketError, DomainError, RegimeError, require, require_count
 from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .oracle import quadrature
-from .so3 import SOURCE
+from .so3 import SOURCE, TARGET
 
 
 class Regime(enum.Enum):
@@ -150,49 +150,33 @@ class ExtremalSample:
 
 
 def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
-    """Evaluate the closed-form extremal controls at a finite time t."""
+    """Evaluate the closed-form extremal controls at a finite time t.
+
+    The zero and critical regimes take the sub-critical ``dn`` form at
+    modulus 0 and 1, where ``sncndn`` is exactly (sin, cos, 1) and
+    (tanh, sech, sech).
+    """
     if not math.isfinite(t):
         raise DomainError(f"time t must be finite, got {t!r}")
     a, m = e.alpha, e.m3_0
     reg, k, rate = e.regime, e.modulus, e.rate
-    if reg is Regime.ZERO:
-        return ExtremalSample(1.0, 0.0, 0.0, a)
-    if reg is Regime.CRITICAL:
-        arg = rate * t
-        sech = 1.0 / math.cosh(arg)
-        return ExtremalSample(sech, a * math.tanh(arg), m * sech, a)
     sn, cn, dn = sncndn(rate * t, k)
-    if reg is Regime.SUB_CRITICAL:
-        return ExtremalSample(dn, a * k * sn, m * cn, a)
     if reg is Regime.SUPER_CRITICAL:
         return ExtremalSample(cn, a * sn, m * dn, a)
-    return ExtremalSample(cn / dn, a * e.comodulus * (sn / dn), m * (1.0 / dn), a)
+    if reg is Regime.ALPHA_ABOVE_ONE:
+        return ExtremalSample(cn / dn, a * e.comodulus * (sn / dn), m * (1.0 / dn), a)
+    return ExtremalSample(dn, a * k * sn, m * cn, a)
 
 
 def extremal_control(e: EnergyExtremal):
     """Fast closure t -> (u1, u2) for integrators, in the unscaled controls.
 
-    The closures read ``sncndn`` as a module global at call time, so a
-    wrapper installed on this module's namespace sees every evaluation.
+    The zero and critical regimes share the sub-critical closure (see
+    ``controls_at``).  The closures read ``sncndn`` as a module global at
+    call time, so a wrapper installed on this module's namespace sees every
+    evaluation.
     """
-    a = e.alpha
     reg, k, rate = e.regime, e.modulus, e.rate
-    if reg is Regime.ZERO:
-        return lambda t: (1.0, 0.0)
-    if reg is Regime.CRITICAL:
-
-        def ctrl_c(t, _r=rate):
-            arg = _r * t
-            return 1.0 / math.cosh(arg), math.tanh(arg)
-
-        return ctrl_c
-    if reg is Regime.SUB_CRITICAL:
-
-        def ctrl_s(t, _r=rate, _k=k):
-            sn, _, dn = sncndn(_r * t, _k)
-            return dn, _k * sn
-
-        return ctrl_s
     if reg is Regime.SUPER_CRITICAL:
 
         def ctrl_p(t, _r=rate, _k=k):
@@ -200,13 +184,20 @@ def extremal_control(e: EnergyExtremal):
             return cn, sn
 
         return ctrl_p
-    w = e.comodulus
+    if reg is Regime.ALPHA_ABOVE_ONE:
+        w = e.comodulus
 
-    def ctrl_a(t, _r=rate, _k=k, _w=w):
-        sn, cn, dn = sncndn(_r * t, _k)
-        return cn / dn, _w * (sn / dn)
+        def ctrl_a(t, _r=rate, _k=k, _w=w):
+            sn, cn, dn = sncndn(_r * t, _k)
+            return cn / dn, _w * (sn / dn)
 
-    return ctrl_a
+        return ctrl_a
+
+    def ctrl_s(t, _r=rate, _k=k):
+        sn, _, dn = sncndn(_r * t, _k)
+        return dn, _k * sn
+
+    return ctrl_s
 
 
 def extremal_control_bulk(e: EnergyExtremal):
@@ -214,12 +205,12 @@ def extremal_control_bulk(e: EnergyExtremal):
 
     Each element equals the closure's value at that time, bit for bit: the
     same products and quotients of ``sncndn_bulk``'s arrays.  The twin
-    serves the sub-critical, super-critical and alpha > 1 regimes at moduli
-    in the Landen range; the zero and critical regimes and degenerate moduli
-    get None, and their callers keep the scalar closure.
+    serves moduli in the Landen range; degenerate moduli, among them the
+    zero regime's 0 and the critical regime's 1, get None, and their callers
+    keep the scalar closure.
     """
     reg, k, rate = e.regime, e.modulus, e.rate
-    if reg in (Regime.ZERO, Regime.CRITICAL) or not landen_range(k):
+    if not landen_range(k):
         return None
     if reg is Regime.SUB_CRITICAL:
 
@@ -310,40 +301,40 @@ def _exit_event(alpha: float, m3_0: float, h: float):
     face, t_exit, state = first_exit(
         SOURCE, extremal_control(e), alpha, _horizon(e), h
     )
-    if float(np.linalg.norm(state - np.array([0.0, 0.0, 1.0]))) < tol.TARGET_BALL:
+    if float(np.linalg.norm(state - TARGET.as_array())) < tol.TARGET_BALL:
         face = ExitFace.TARGET
     return face, t_exit, state
 
 
-def transfer_endpoint(alpha: float, m3_0: float, h: float = 1e-3) -> np.ndarray:
+def transfer_endpoint(alpha: float, m3_0: float) -> np.ndarray:
     """State of the extremal at its transfer time (the first zero of v1).
 
     Near the solved shooting parameter the exit point slides along the
     boundary with cube-root sensitivity, so accuracy statements are made
     here, at the fixed transfer time, where the dependence on m3(0) is
-    smooth.
+    smooth.  The RK4 step is ``SHOOT_STEP``.
     """
     e = EnergyExtremal(alpha, m3_0)
     T = transfer_time(alpha, m3_0)
     if not math.isfinite(T):
         raise DomainError("transfer time is not finite for this shooting parameter")
-    traj = integrate(SOURCE, extremal_control(e), alpha, T, h, record_every=10**9)
+    traj = integrate(SOURCE, extremal_control(e), alpha, T, tol.SHOOT_STEP, record_every=10**9)
     return traj.endpoint
 
 
-def exit_face(alpha: float, m3_0: float, h: float = 1e-3) -> ExitFace:
+def exit_face(alpha: float, m3_0: float) -> ExitFace:
     """Which octant face the extremal crosses first (or TARGET at the corner).
 
     The state is integrated under the closed-form controls and the crossing
     is located by sign-change bracketing plus time bisection, never by
     interpolating components, so the classification stays robust near the
-    target corner.
+    target corner.  The RK4 step is ``SHOOT_STEP``.
     """
-    face, _, _ = _exit_event(alpha, m3_0, h)
+    face, _, _ = _exit_event(alpha, m3_0, tol.SHOOT_STEP)
     return face
 
 
-def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
+def solve_m3(alpha: float, tol_m3: float = 1e-8) -> float:
     """Dichotomy for the shooting parameter of the target-reaching extremal.
 
     Shrinks the a priori bracket toward larger values when the trajectory
@@ -354,10 +345,12 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
     exponentially thin layer above the lower bound, which is why the
     bisection runs on the logarithm of the distance to it).
 
+    Near convergence the trajectories are integrated with the RK4 step
+    ``SHOOT_STEP``; coarser brackets use a step of 6e-3.
+
     Args:
         alpha: nonisotropy factor.
         tol_m3: bracket-width tolerance on m3(0).
-        h: fine integration step used near convergence.
 
     Raises:
         BracketError: when the a priori bounds do not straddle the solution,
@@ -365,14 +358,13 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
             more than ``SHOOT_MISS_LIMIT``.
     """
     require("tolerance", tol_m3)
-    require("step h", h)
+    h, coarse_h = tol.SHOOT_STEP, 6e-3
     lo_bound, hi_bound = m3_bounds(alpha)
     floor = lo_bound
     eps = float(np.finfo(float).eps)
     # gap coordinates g = m3 - floor, bisected on ln(g)
     g_hi = hi_bound - floor
     g_lo = 8.0 * eps * floor if floor > 0.0 else 1e-250
-    coarse_h = max(h, 6e-3)
 
     face_hi, _, _ = _exit_event(alpha, floor + g_hi, h)
     if face_hi is ExitFace.TARGET:
@@ -409,14 +401,14 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8, h: float = 1e-3) -> float:
     # psi(T(m3)) crosses zero at the solution and varies smoothly and
     # steeply with m3, unlike the exit point, whose corner sensitivity is
     # cube-root and noise-limited
-    target = np.array([0.0, 0.0, 1.0])
+    target = TARGET.as_array()
     best: tuple[float, float] | None = None  # (miss, m3)
 
     def endpoint_gap(x: float) -> tuple[float, float] | None:
         nonlocal best
         m = floor + math.exp(x)
         try:
-            ep = transfer_endpoint(alpha, m, h)
+            ep = transfer_endpoint(alpha, m)
         except (DomainError, RegimeError):
             return None
         miss = float(np.linalg.norm(ep - target))

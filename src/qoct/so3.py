@@ -42,9 +42,9 @@ class StateS2:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.psi1, self.psi2, self.psi3)
 
-    def in_octant(self, slack: float = tol.STRUCTURAL) -> bool:
-        """True when all components are nonnegative up to ``slack``."""
-        return min(self.psi1, self.psi2, self.psi3) >= -slack
+    def in_octant(self) -> bool:
+        """True when all components are nonnegative up to ``STRUCTURAL``."""
+        return min(self.psi1, self.psi2, self.psi3) >= -tol.STRUCTURAL
 
 
 #: source state (population in level one) and target state (level three)

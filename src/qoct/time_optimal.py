@@ -23,7 +23,7 @@ from . import tolerances as tol
 from .errors import DomainError, NoSolutionError, SingularLocusError, require, require_count
 from .integrator import Trajectory
 from .oracle import bisect_root
-from .so3 import SOURCE, SkewGenerator, StateS2, arc_form, generator, rodrigues_exp
+from .so3 import SOURCE, TARGET, SkewGenerator, StateS2, arc_form, generator, rodrigues_exp
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ class ControlLaw:
         u1 = np.array([s.u1 for s in self.segments], dtype=float)
         u2 = np.array([s.u2 for s in self.segments], dtype=float)
         return u1[idx], u2[idx]
-
-    def as_control(self):
-        """(callable t -> (u1, u2), interior switch times) for the integrator."""
-        return self.control, self.switch_times()
 
 
 @dataclass(frozen=True)
@@ -210,25 +206,24 @@ def t_alpha(alpha: float) -> float:
     return math.acos(-1.0 / (alpha * alpha)) / math.sqrt(1.0 + alpha * alpha)
 
 
-def _is_isotropic(alpha: float) -> bool:
-    return abs(alpha - 1.0) <= tol.ALPHA_ONE_REL
+def _trim(segments) -> tuple[Segment, ...]:
+    return tuple(s for s in segments if s.duration > tol.SEGMENT_MIN_DURATION)
 
 
 def min_time_law(alpha: float) -> ControlLaw:
     """The minimum-time control law from the source to the target.
 
-    Below one: a double bang (+1,+1) up to the octant boundary, then a
-    singular arc (0,+1) along the psi1 = 0 circle into the target.  At one: a
-    single double bang.  Above one: a singular arc (+1,0) along the equator,
-    then the double bang.
+    Up to one: a double bang (+1,+1) up to the octant boundary, then a
+    singular arc (0,+1) along the psi1 = 0 circle into the target; at one
+    that arc has zero length and is dropped, leaving the single double bang
+    of duration pi/sqrt(2).  Above one: a singular arc (+1,0) along the
+    equator, then the double bang.
     """
     require("nonisotropy factor", alpha)
-    if _is_isotropic(alpha):
-        return ControlLaw((Segment(1.0, 1.0, math.pi / math.sqrt(2.0)),), alpha)
-    if alpha < 1.0:
+    if alpha <= 1.0:
         segs = (Segment(1.0, 1.0, t_alpha(alpha)), Segment(0.0, 1.0, math.acos(alpha) / alpha))
-    else:
-        segs = (Segment(1.0, 0.0, math.acos(1.0 / alpha)), Segment(1.0, 1.0, t_alpha(alpha)))
+        return ControlLaw(_trim(segs), alpha)
+    segs = (Segment(1.0, 0.0, math.acos(1.0 / alpha)), Segment(1.0, 1.0, t_alpha(alpha)))
     return ControlLaw(segs, alpha)
 
 
@@ -324,12 +319,12 @@ class _Family:
 
 def _families(alpha: float) -> list[_Family]:
     ta = t_alpha(alpha)
-    if alpha <= 1.0 or _is_isotropic(alpha):
+    if alpha <= 1.0:
         fams = [
             _Family((), (1.0, 0.0), 0.0, math.pi / 2.0, (), (1.0, 1.0)),
             _Family((), (1.0, 1.0), 0.0, ta, (), (-1.0, 1.0)),
         ]
-        if not _is_isotropic(alpha) and alpha < 1.0:
+        if alpha < 1.0:
             fams.append(
                 _Family(
                     (Segment(1.0, 1.0, ta),),
@@ -367,10 +362,6 @@ def _arc_angle_to(p: np.ndarray, target: np.ndarray, g: SkewGenerator) -> float:
     if ang > 2.0 * math.pi - tol.ARC_ANGLE_WRAP:
         ang = 0.0
     return ang
-
-
-def _trim(segments) -> tuple[Segment, ...]:
-    return tuple(s for s in segments if s.duration > tol.SEGMENT_MIN_DURATION)
 
 
 def _family_candidates(fam: _Family, alpha: float, target: np.ndarray):
@@ -471,9 +462,9 @@ def synthesis_law(
         raise DomainError("target must lie in the closed positive octant")
     tgt = target.as_array()
 
-    if float(np.linalg.norm(tgt - np.array([0.0, 0.0, 1.0]))) < tol.CORNER_BALL:
+    if float(np.linalg.norm(tgt - TARGET.as_array())) < tol.CORNER_BALL:
         return min_time_law(alpha)
-    if float(np.linalg.norm(tgt - np.array([1.0, 0.0, 0.0]))) < tol.CORNER_BALL:
+    if float(np.linalg.norm(tgt - SOURCE.as_array())) < tol.CORNER_BALL:
         return ControlLaw((), alpha)
     if abs(target.psi2) < tol.SINGULAR_LOCUS:
         raise NoSolutionError(

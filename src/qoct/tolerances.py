@@ -4,7 +4,8 @@ Every hard-coded threshold used by the library lives here so that the
 accuracy contracts can be audited in one place.
 """
 
-# structural checks at construction time (unit norm, orthogonality, det)
+# structural checks at construction time (unit norm), and the slack of
+# ``StateS2.in_octant``
 STRUCTURAL = 1e-12
 
 # rotation angle below which the Rodrigues coefficients switch to series
@@ -27,9 +28,6 @@ ELLIPTIC_DEGENERATE_ONE = 4e-16
 # falls below about 1e-154
 LANDEN_SN_FLOOR = 1e-150
 
-# |alpha - 1| below this (relative) selects the isotropic branch
-ALPHA_ONE_REL = 1e-12
-
 # the critical-regime window on m3(0)^2 - (1-alpha^2)/alpha^2, in units of
 # float spacing of the threshold; only float-indistinguishable parameters
 # are routed to the hyperbolic forms
@@ -41,7 +39,8 @@ SINGULAR_LOCUS = 1e-12
 # a segment control may exceed the unit box by this much (rounding slack)
 CONTROL_BOUND_SLACK = 1e-12
 
-# segments shorter than this are dropped from a synthesized law
+# segments shorter than this are dropped from a synthesized law and from
+# the alpha <= 1 minimum-time law (its singular arc at alpha = 1)
 SEGMENT_MIN_DURATION = 1e-12
 
 # a target this close to the source or the target corner is that corner
@@ -79,6 +78,10 @@ SYNTHESIS_SCREEN_MARGIN = 1e-9
 
 # a coordinate must dip below -ARC_EXIT_DIP along an arc to count as an exit
 ARC_EXIT_DIP = 1e-12
+
+# energy shooting: the RK4 step of the transfer endpoint, the exit face and
+# the fine stages of the m3(0) solve
+SHOOT_STEP = 1e-3
 
 # energy shooting: a solve whose best RK4 transfer endpoint misses the target
 # by more than this raises instead of returning its best point

@@ -5,6 +5,9 @@ failure report) and asserts the criterion outcome.  The same checks back the
 ``qoct verify`` subcommand.
 """
 
+import re
+import time
+
 import pytest
 
 from qoct import acceptance
@@ -56,6 +59,25 @@ def test_a09_switching_rules():
 
 def test_a10_brute_force_certificate():
     _run("A10-brute-force-certificate")
+
+
+def test_a10_elapsed_time_ignores_a_wall_clock_jump(monkeypatch):
+    # setting the system clock an hour ahead during the search must not
+    # count as search time
+    wall = time.time
+    offset = [0.0]
+    monkeypatch.setattr(time, "time", lambda: wall() + offset[0])
+    search = acceptance.sample_search_min_time
+
+    def jumping_search(*args, **kwargs):
+        offset[0] += 3600.0
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "sample_search_min_time", jumping_search)
+    ok, detail = CRITERIA["A10-brute-force-certificate"](True)
+    assert offset[0] == 3 * 3600.0
+    assert ok, detail
+    assert float(re.search(r"elapsed ([0-9.]+)s", detail).group(1)) < 60.0
 
 
 def test_a11_resonant_lift():

@@ -32,9 +32,8 @@ def test_plane_rotation_endpoint():
 
 def test_bang_law_agrees_with_exact_rotations():
     law = min_time_law(2.0)
-    fn, switches = law.as_control()
     traj = integrate(
-        SOURCE, fn, 2.0, law.total_duration, 1e-4, switch_times=switches,
+        SOURCE, law.control, 2.0, law.total_duration, 1e-4, switch_times=law.switch_times(),
         record_every=10**9,
     )
     exact = propagate_law(SOURCE, law).endpoint
@@ -243,10 +242,9 @@ def test_integrate_with_a_bulk_twin_is_bit_identical(chunk, h, monkeypatch):
     # everywhere, the last is the module's own size
     monkeypatch.setattr(integrator, "BULK_STEPS", chunk)
     law = min_time_law(0.7)
-    law_control, switches = law.as_control()
     e = EnergyExtremal(0.5, 2.3)
     cases = [
-        (law_control, law.control_bulk, 0.7, law.total_duration, switches),
+        (law.control, law.control_bulk, 0.7, law.total_duration, law.switch_times()),
         (extremal_control(e), extremal_control_bulk(e), 0.5, 3.3, ()),
     ]
     for control, bulk, alpha, T, cuts in cases:

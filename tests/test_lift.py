@@ -35,18 +35,17 @@ PSI0 = ComplexState(np.array([1.0 + 0.0j, 0.0j, 0.0j]))
 
 
 def law_pulses(law, spec):
-    fn, switches = law.as_control()
-    f1, f2 = lift_controls(lambda t: fn(t)[0], lambda t: fn(t)[1], spec)
-    return f1, f2, switches
+    f1, f2 = lift_controls(law.control, spec)
+    return f1, f2, law.switch_times()
 
 
 def test_lifted_pulse_phases():
     spec = LevelSpec(0.0, 0.0, 0.5, 0.0, 0.0)
-    f1, _ = lift_controls(lambda t: 1.0, lambda t: 0.0, spec)
+    f1, _ = lift_controls(lambda t: (1.0, 0.0), spec)
     for t in (0.0, 0.7, 2.0):
         assert abs(f1(t) - 1.0) < 1e-15
     spec = LevelSpec(0.0, 1.0, 1.0, math.pi / 2.0, 0.0)
-    f1, _ = lift_controls(lambda t: 1.0, lambda t: 0.0, spec)
+    f1, _ = lift_controls(lambda t: (1.0, 0.0), spec)
     assert abs(f1(math.pi) - cmath.exp(1j * 1.5 * math.pi)) < 1e-14
 
 
@@ -54,7 +53,7 @@ def test_lifted_pulse_modulus_matches_amplitude():
     spec = LevelSpec(-0.4, 0.9, 1.3, 0.8, -0.2)
     u1 = lambda t: math.cos(3 * t) * 0.7
     u2 = lambda t: math.sin(2 * t)
-    f1, f2 = lift_controls(u1, u2, spec)
+    f1, f2 = lift_controls(lambda t: (u1(t), u2(t)), spec)
     for t in np.linspace(0, 3, 20):
         assert abs(abs(f1(t)) - abs(u1(t))) < 1e-14
         assert abs(abs(f2(t)) - abs(u2(t))) < 1e-14
@@ -80,8 +79,7 @@ def test_min_time_transfer_survives_the_lift():
 
 def test_energy_transfer_survives_the_lift():
     alpha, m3 = 2.0, 0.09159664366351113
-    ctrl = extremal_control(EnergyExtremal(alpha, m3))
-    f1, f2 = lift_controls(lambda t: ctrl(t)[0], lambda t: ctrl(t)[1], SPEC)
+    f1, f2 = lift_controls(extremal_control(EnergyExtremal(alpha, m3)), SPEC)
     T = transfer_time(alpha, m3)
     traj = simulate_complex(PSI0, f1, f2, SPEC, alpha, T, 1e-3)
     assert abs(traj.endpoint[2]) ** 2 >= 1.0 - 1e-5
@@ -103,7 +101,7 @@ def test_interaction_picture_recovers_energy_trajectory():
     m3 = 1.0 / math.sqrt(3.0)
     ctrl = extremal_control(EnergyExtremal(1.0, m3))
     T = transfer_time(1.0, m3)
-    f1, f2 = lift_controls(lambda t: ctrl(t)[0], lambda t: ctrl(t)[1], SPEC)
+    f1, f2 = lift_controls(ctrl, SPEC)
     traj = simulate_complex(PSI0, f1, f2, SPEC, 1.0, T, 1e-3, record_every=20)
     real = interaction_picture(traj, SPEC)
     ref = integrate(SOURCE, ctrl, 1.0, T, 1e-3, record_every=20)
@@ -200,14 +198,10 @@ def _law_and_extremal_controls():
     # a zero-control segment: the pulses' signed zeros must agree too
     segments = (Segment(1.0, 0.0, 0.4), Segment(0.0, -0.0, 0.3), *min_time_law(0.8).segments)
     law = ControlLaw(segments, 0.8)
-    fn, _ = law.as_control()
     e = EnergyExtremal(2.0, 0.3)
-    ctrl = extremal_control(e)
     return {
-        "law": (lambda t: fn(t)[0], lambda t: fn(t)[1], law.control_bulk,
-                law.total_duration, law.switch_times()),
-        "extremal": (lambda t: ctrl(t)[0], lambda t: ctrl(t)[1], extremal_control_bulk(e),
-                     transfer_time(2.0, 0.3), ()),
+        "law": (law.control, law.control_bulk, law.total_duration, law.switch_times()),
+        "extremal": (extremal_control(e), extremal_control_bulk(e), transfer_time(2.0, 0.3), ()),
     }
 
 
@@ -216,8 +210,8 @@ def _law_and_extremal_controls():
     "spec", [SPEC, LevelSpec(-1.0, 0.3, 0.7, 0.3, -1.0), LevelSpec(0.0, 0.0, 2.5, -3.0, 0.0)]
 )
 def test_bulk_pulses_match_the_scalar_pulses_bit_for_bit(source, spec):
-    u1, u2, bulk, T, _ = _law_and_extremal_controls()[source]
-    f1, f2 = lift_controls(u1, u2, spec)
+    control, bulk, T, _ = _law_and_extremal_controls()[source]
+    f1, f2 = lift_controls(control, spec)
     ts = np.concatenate(([0.0], np.random.default_rng(2).uniform(0.0, T, 1000)))
     f1s, f2s = lift_controls_bulk(bulk, spec)(ts)
     assert f1s.dtype == complex and f2s.dtype == complex
@@ -227,9 +221,9 @@ def test_bulk_pulses_match_the_scalar_pulses_bit_for_bit(source, spec):
 
 @pytest.mark.parametrize("source", ["law", "extremal"])
 def test_simulate_complex_with_bulk_pulses_is_bit_identical(source):
-    u1, u2, bulk, T, switches = _law_and_extremal_controls()[source]
+    control, bulk, T, switches = _law_and_extremal_controls()[source]
     spec = LevelSpec(-1.0, 0.3, 0.7, 0.3, -1.0)
-    f1, f2 = lift_controls(u1, u2, spec)
+    f1, f2 = lift_controls(control, spec)
     runs = [
         simulate_complex(PSI0, f1, f2, spec, 0.8, T, 1e-3, switches, 7, bulk_control=b)
         for b in (None, lift_controls_bulk(bulk, spec))

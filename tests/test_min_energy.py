@@ -267,7 +267,7 @@ def test_bounds_reject_bad_factor(alpha):
         m3_bounds(alpha)
 
 
-@pytest.mark.parametrize("kwargs", [{"tol_m3": math.nan}, {"tol_m3": 0.0}, {"h": math.nan}])
+@pytest.mark.parametrize("kwargs", [{"tol_m3": math.nan}, {"tol_m3": 0.0}])
 def test_solve_rejects_bad_tolerance_before_integrating(kwargs):
     # tol_m3 = nan used to run the whole dichotomy and return the lower bound
     with pytest.raises(DomainError):
@@ -335,6 +335,34 @@ def test_control_closure_matches_controls_at(alpha, m3, regime, tol):
 
 def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "alpha, m3, regime",
+    [
+        (0.6, 0.0, Regime.ZERO),
+        (2.0, 0.0, Regime.ZERO),
+        (0.6, 0.8 / 0.6, Regime.CRITICAL),
+        (1.0, 1e-9, Regime.CRITICAL),  # rate 0 at alpha = 1
+    ],
+)
+def test_zero_and_critical_controls_keep_their_closed_forms(alpha, m3, regime):
+    # both regimes run through the sub-critical dn form, at modulus 0 and 1;
+    # the reference is the pair of closed forms they used to have
+    e = EnergyExtremal(alpha, m3)
+    assert e.regime is regime
+    ctrl = extremal_control(e)
+    for t in np.linspace(0.0, 50.0, 2001).tolist():
+        if regime is Regime.ZERO:
+            want_sample, want_ctrl = (1.0, 0.0, 0.0), (1.0, 0.0)
+        else:
+            arg = e.rate * t
+            sech = 1.0 / math.cosh(arg)
+            want_sample = (sech, alpha * math.tanh(arg), m3 * sech)
+            want_ctrl = (1.0 / math.cosh(arg), math.tanh(arg))
+        s = controls_at(e, t)
+        assert _bits((s.v1, s.v2, s.m3)) == _bits(want_sample)
+        assert _bits(ctrl(t)) == _bits(want_ctrl)
 
 
 @pytest.mark.parametrize(

@@ -161,25 +161,40 @@ def test_min_time_inversion_symmetry():
         assert abs(t_big - alpha * t_small) < 1e-12
 
 
-_ISOTROPIC_TIME = math.pi / math.sqrt(2.0)
-
-
 @settings(max_examples=500, deadline=None)
 @given(alpha=st.one_of(st.floats(0.05, 0.999), st.floats(1.0 - 1e-11, 1.0 + 1e-11)))
-@example(alpha=1.0 - 5e-13)  # inside the snap window
-@example(alpha=1.0 - 2e-12)  # just outside it
+@example(alpha=1.0 - 5e-13)
+@example(alpha=1.0 - 2e-12)
+@example(alpha=math.nextafter(1.0, 0.0))
+@example(alpha=math.nextafter(1.0, 2.0))
 @example(alpha=1.0)
 def test_min_time_inversion_symmetry_property(alpha):
+    # the two-arc formulas hold right up to alpha = 1, so the symmetry holds
+    # to rounding there too
     residual = abs(min_time_law(1.0 / alpha).total_duration
                    - alpha * min_time_law(alpha).total_duration)
-    if tol.ALPHA_ONE_REL >= min(abs(alpha - 1.0), abs(1.0 / alpha - 1.0)):
-        # min_time_law snaps alpha within ALPHA_ONE_REL of one to the
-        # isotropic pi/sqrt(2) arc, which keeps the law's shape at one but not
-        # the symmetry: T(1/alpha) - alpha T(alpha) is (pi/sqrt(2)) |1 - alpha|
-        # there, up to 2.2e-12, plus rounding
-        assert residual <= _ISOTROPIC_TIME * abs(1.0 - alpha) + 1e-15
-    else:
-        assert residual <= 1e-12
+    assert residual <= 1e-12
+
+
+def test_isotropic_law_is_the_single_double_bang():
+    # the alpha <= 1 law at alpha = 1: its singular arc has zero length and
+    # is dropped, and acos(-1)/sqrt(2) is pi/sqrt(2) to the bit
+    assert min_time_law(1.0).segments == (Segment(1.0, 1.0, math.pi / math.sqrt(2.0)),)
+
+
+@pytest.mark.parametrize(
+    "alpha", [1.0 - 1e-13, 1.0 + 1e-13, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+)
+def test_factors_next_to_one_keep_both_arcs(alpha):
+    law = min_time_law(alpha)
+    assert len(law.segments) == 2
+    end = propagate_law(SOURCE, law).endpoint
+    assert np.linalg.norm(end - E3) <= tol.VERIFY_EXACT_ENDPOINT
+    # the synthesis families there (three of them below one) reach octant targets
+    for v in np.abs(np.random.default_rng(11).normal(size=(8, 3))):
+        target = StateS2.from_array(v / np.linalg.norm(v))
+        end = propagate_law(SOURCE, synthesis_law(alpha, target)).endpoint
+        assert np.linalg.norm(end - target.as_array()) <= tol.VERIFY_EXACT_ENDPOINT
 
 
 def test_propagate_empty_law():
@@ -347,8 +362,6 @@ def test_control_clock():
     assert _LAW.control(s2 - 1e-12) == (1.0, 1.0)
     assert _LAW.control(_LAW.total_duration + 5.0) == (-1.0, 1.0)
     assert ControlLaw((), 1.0).control(0.5) == (0.0, 0.0)
-    fn, switches = _LAW.as_control()
-    assert switches == (s1, s2) and fn(s1) == _LAW.control(s1)
 
 
 def test_control_clock_is_built_once():
