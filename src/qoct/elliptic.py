@@ -19,8 +19,8 @@ genuinely operate that close to the degenerate modulus.
 returns a plain tuple, since integrators call it three times per RK4 step.
 It keeps its last Landen result: on a uniform step grid the last RK4 stage
 of one step and the first stage of the next ask for the same argument, and
-an equal ``(u, k)`` returns the stored tuple.  The AGM chains are kept per modulus in
-a bounded table.
+an equal ``(u, k)`` returns the stored tuple.  The AGM chains of the two
+Jacobi kernels are kept per modulus in a bounded table.
 
 ``sncndn_bulk`` is its array twin for moduli in the Landen range, used where
 a whole grid of arguments is known at once.  It equals ``sncndn`` element by
@@ -96,18 +96,14 @@ def _landen_chain(k: float) -> tuple[float, tuple[tuple[float, float], ...]]:
 def complete_k(k: float) -> float:
     """Complete elliptic integral K(k) by the arithmetic-geometric mean.
 
-    K(k) is the quarter period of the Jacobi functions: sn(K; k) = 1.
-    Diverges logarithmically as k -> 1, so k = 1 is rejected.
-
-    Args:
-        k: modulus, 0 <= k < 1.
-
-    Returns:
-        The value of the integral of 1/sqrt(1 - k^2 sin^2 s) over [0, pi/2].
+    K(k) is the quarter period of the Jacobi functions, sn(K; k) = 1: the
+    integral of 1/sqrt(1 - k^2 sin^2 s) over [0, pi/2], for a modulus
+    0 <= k < 1 (it diverges as k -> 1).  It is ``complete_k_comp`` at
+    k' = sqrt((1 - k)(1 + k)), the same AGM.
     """
     if not (0.0 <= k < 1.0):
         raise DomainError(f"complete_k requires 0 <= k < 1, got {k!r}")
-    return math.pi / (2.0 * _landen_chain(k)[1][0][0])
+    return complete_k_comp(sqrt((1.0 - k) * (1.0 + k)))
 
 
 def complete_k_comp(kp: float) -> float:

@@ -10,6 +10,9 @@ m3(0) leave the octant through the psi2 = 0 face, too small through psi1 = 0.
 Controls are expressed in the rescaled coordinates (v1, v2) = (u1, alpha*u2)
 in which the energy cost reads v1^2 + v2^2/alpha^2; arclength normalization
 makes that integrand identically one, so energy equals transfer time.
+Each regime's control closure is written once and evaluated through
+``sncndn`` for a float time or ``sncndn_bulk`` for an array of times, and
+the quarter period K(k')/rate once, on ``EnergyExtremal``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,12 +127,20 @@ class EnergyExtremal:
     @property
     def half_period(self) -> float:
         """Half period of v1, past which v1 stops decreasing (inf if aperiodic)."""
+        if self._regime is Regime.SUB_CRITICAL:
+            return self._quarter_period  # dn has period 2K
+        return 2.0 * self._quarter_period  # cn and cd have period 4K
+
+    @cached_property
+    def _quarter_period(self) -> float:
+        """K(k')/rate: the quarter period of sn in time (inf if aperiodic).
+
+        K is evaluated through the complementary modulus, which survives
+        where k itself rounds to one; inf also where k' underflows to 0.
+        """
         if self._regime in (Regime.ZERO, Regime.CRITICAL) or self._kp <= 0.0:
             return math.inf
-        kk = complete_k_comp(self._kp)
-        if self._regime is Regime.SUB_CRITICAL:
-            return kk / self._rate  # dn has period 2K
-        return 2.0 * kk / self._rate  # cn and cd have period 4K
+        return complete_k_comp(self._kp) / self._rate
 
 
 @dataclass(frozen=True)
@@ -168,71 +180,55 @@ def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
     return ExtremalSample(dn, a * k * sn, m * cn, a)
 
 
-def extremal_control(e: EnergyExtremal):
-    """Fast closure t -> (u1, u2) for integrators, in the unscaled controls.
+def _regime_control(e: EnergyExtremal, kernel):
+    """The regime's closure t -> (u1, u2), evaluated through ``kernel``.
 
+    ``kernel`` is ``sncndn`` for a float t or ``sncndn_bulk`` for an array
+    of times; both take the same products and quotients of (sn, cn, dn), so
+    the array closure equals the float one element by element, bit for bit.
     The zero and critical regimes share the sub-critical closure (see
-    ``controls_at``).  The closures read ``sncndn`` as a module global at
-    call time, so a wrapper installed on this module's namespace sees every
-    evaluation.
+    ``controls_at``).
     """
     reg, k, rate = e.regime, e.modulus, e.rate
     if reg is Regime.SUPER_CRITICAL:
 
-        def ctrl_p(t, _r=rate, _k=k):
-            sn, cn, _ = sncndn(_r * t, _k)
+        def ctrl_p(t, _f=kernel, _r=rate, _k=k):
+            sn, cn, _ = _f(_r * t, _k)
             return cn, sn
 
         return ctrl_p
     if reg is Regime.ALPHA_ABOVE_ONE:
-        w = e.comodulus
 
-        def ctrl_a(t, _r=rate, _k=k, _w=w):
-            sn, cn, dn = sncndn(_r * t, _k)
+        def ctrl_a(t, _f=kernel, _r=rate, _k=k, _w=e.comodulus):
+            sn, cn, dn = _f(_r * t, _k)
             return cn / dn, _w * (sn / dn)
 
         return ctrl_a
 
-    def ctrl_s(t, _r=rate, _k=k):
-        sn, _, dn = sncndn(_r * t, _k)
+    def ctrl_s(t, _f=kernel, _r=rate, _k=k):
+        sn, _, dn = _f(_r * t, _k)
         return dn, _k * sn
 
     return ctrl_s
 
 
+def extremal_control(e: EnergyExtremal):
+    """Fast closure t -> (u1, u2) for integrators, in the unscaled controls.
+
+    The closure binds this module's ``sncndn`` when it is made, so a wrapper
+    installed on the module namespace beforehand sees every evaluation.
+    """
+    return _regime_control(e, sncndn)
+
+
 def extremal_control_bulk(e: EnergyExtremal):
     """Array twin of ``extremal_control``: ts -> (u1s, u2s), or None.
 
-    Each element equals the closure's value at that time, bit for bit: the
-    same products and quotients of ``sncndn_bulk``'s arrays.  The twin
-    serves moduli in the Landen range; degenerate moduli, among them the
-    zero regime's 0 and the critical regime's 1, get None, and their callers
-    keep the scalar closure.
+    The same closure over ``sncndn_bulk``, which serves moduli in the Landen
+    range; degenerate moduli, among them the zero regime's 0 and the
+    critical regime's 1, get None, and their callers keep the scalar closure.
     """
-    reg, k, rate = e.regime, e.modulus, e.rate
-    if not landen_range(k):
-        return None
-    if reg is Regime.SUB_CRITICAL:
-
-        def bulk_s(ts):
-            sn, _, dn = sncndn_bulk(rate * ts, k)
-            return dn, k * sn
-
-        return bulk_s
-    if reg is Regime.SUPER_CRITICAL:
-
-        def bulk_p(ts):
-            sn, cn, _ = sncndn_bulk(rate * ts, k)
-            return cn, sn
-
-        return bulk_p
-    w = e.comodulus
-
-    def bulk_a(ts):
-        sn, cn, dn = sncndn_bulk(rate * ts, k)
-        return cn / dn, w * (sn / dn)
-
-    return bulk_a
+    return _regime_control(e, sncndn_bulk) if landen_range(e.modulus) else None
 
 
 def transfer_time(alpha: float, m3_0: float) -> float:
@@ -245,13 +241,10 @@ def transfer_time(alpha: float, m3_0: float) -> float:
     quotient function at the complete integral K.  K is evaluated through
     the complementary modulus, which survives where k itself rounds to one.
     """
-    reg = classify(alpha, m3_0)
-    if reg in (Regime.SUPER_CRITICAL, Regime.ALPHA_ABOVE_ONE):
-        e = EnergyExtremal(alpha, m3_0)
-        if e.comodulus <= 0.0:  # modulus degenerate beyond float resolution
-            return math.inf
-        return complete_k_comp(e.comodulus) / e.rate
-    raise RegimeError(f"v1 has no zero in regime {reg.value}; no transfer time")
+    e = EnergyExtremal(alpha, m3_0)
+    if e.regime in (Regime.SUPER_CRITICAL, Regime.ALPHA_ABOVE_ONE):
+        return e._quarter_period
+    raise RegimeError(f"v1 has no zero in regime {e.regime.value}; no transfer time")
 
 
 def m3_bounds(alpha: float) -> tuple[float, float]:
@@ -285,10 +278,9 @@ def energy_cost(e: EnergyExtremal, T: float) -> float:
 
 def _horizon(e: EnergyExtremal) -> float:
     base = math.sqrt(3.0) * math.pi / 2.0 * max(1.0, 1.0 / e.alpha)
-    if e.regime in (Regime.SUPER_CRITICAL, Regime.ALPHA_ABOVE_ONE):
-        scale = transfer_time(e.alpha, e.m3_0)
-    elif e.regime is Regime.SUB_CRITICAL and e.comodulus > 0.0:
-        scale = complete_k_comp(e.comodulus) / e.rate
+    q = e._quarter_period  # inf in the zero and critical regimes
+    if q < math.inf or e.regime in (Regime.SUPER_CRITICAL, Regime.ALPHA_ABOVE_ONE):
+        scale = q
     elif e.regime is Regime.CRITICAL and e.rate > 0.0:
         scale = 25.0 / e.rate
     else:

@@ -48,6 +48,8 @@ class Splitmix64:
     """
 
     def __init__(self, seed: int):
+        if not isinstance(seed, Integral):
+            raise DomainError(f"seed must be an integer, got {seed!r}")
         self._state = seed & _M64
 
     def next_u64(self) -> int:
@@ -74,10 +76,13 @@ def quadrature(f, a: float, b: float, tol: float) -> float:
     """Adaptive Simpson integration of f over [a, b] to absolute tolerance tol.
 
     Raises:
+        DomainError: a bound that is not finite, or a tolerance that is not
+            finite and positive.
         QuadratureDepthError: past 60 recursion levels.
     """
-    if tol <= 0.0:
-        raise DomainError("quadrature tolerance must be positive")
+    require("quadrature tolerance", tol)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"quadrature bounds must be finite, got [{a!r}, {b!r}]")
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -342,12 +347,10 @@ def _first_ball_peak(w, A, B, C, dur, z_min):
     return None
 
 
-def _check_search_args(alpha, n_candidates, max_segments, seed, target_radius,
+def _check_search_args(alpha, n_candidates, max_segments, target_radius,
                        fixed_controls, max_duration):
     require_count("candidate count", n_candidates)
     require_count("segment count", max_segments)
-    if not isinstance(seed, Integral):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
     require("nonisotropy factor", alpha)
     # written as positive tests, so NaN fails them; at sqrt(2) the ball would
     # hold the source (1, 0, 0)
@@ -393,9 +396,9 @@ def sample_search_min_time(
         (u1, u2, duration) triples truncated at the scoring time, or
         (inf, None) when no candidate touches the ball.
     """
-    _check_search_args(alpha, n_candidates, max_segments, seed, target_radius,
+    _check_search_args(alpha, n_candidates, max_segments, target_radius,
                        fixed_controls, max_duration)
-    rng = Splitmix64(seed)
+    rng = Splitmix64(seed)  # checks the seed
     d_max = max_duration if max_duration is not None else math.pi * max(1.0, 1.0 / alpha)
     z_min = 1.0 - 0.5 * target_radius * target_radius
 

@@ -33,7 +33,13 @@ class StateS2:
 
     @classmethod
     def from_array(cls, arr) -> "StateS2":
-        a = np.asarray(arr, dtype=float)
+        """The state of exactly three real components, else DomainError."""
+        try:
+            a = np.asarray(arr, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"a state needs three real components, got {arr!r}") from exc
+        if a.shape != (3,):
+            raise DomainError(f"a state needs three real components, got shape {a.shape}")
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
     def as_array(self) -> np.ndarray:

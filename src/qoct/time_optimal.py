@@ -111,7 +111,14 @@ class SwitchingState:
 
     @classmethod
     def from_array(cls, arr) -> "SwitchingState":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
+        """The values of exactly three real components, else DomainError."""
+        try:
+            a = np.asarray(arr, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"switching values need three real components, got {arr!r}") from exc
+        if a.shape != (3,):
+            raise DomainError(f"switching values need three real components, got shape {a.shape}")
+        return cls(float(a[0]), float(a[1]), float(a[2]))
 
     def quadratic_invariant(self, alpha: float) -> float:
         return alpha * alpha * self.phi1**2 + self.phi2**2 + self.phi3**2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qoct import DomainError, complete_k, sncndn
 from qoct import elliptic
 from qoct import tolerances as tol
-from qoct.elliptic import _agm
+from qoct.elliptic import _agm, complete_k_comp
 from qoct.oracle import bisect_root, quadrature
 
 # moduli covering every branch of sncndn: trigonometric (k = 0 and below
@@ -36,6 +36,11 @@ def test_complete_k_degenerate():
 def test_complete_k_against_quadrature():
     for k in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
         assert abs(complete_k(k) - k_by_quadrature(k)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 0.999, math.nextafter(1.0, 0.0)])
+def test_complete_k_is_complete_k_comp_of_the_comodulus(k):
+    assert complete_k(k).hex() == complete_k_comp(math.sqrt((1.0 - k) * (1.0 + k))).hex()
 
 
 def test_complete_k_domain():

@@ -28,6 +28,7 @@ from qoct import (
     transfer_time,
 )
 from qoct.acceptance import _first_v1_zero, solved_m3
+from qoct.elliptic import complete_k_comp
 from qoct.errors import RegimeError
 from qoct.integrator import first_exit
 from qoct import min_energy
@@ -442,3 +443,100 @@ def test_controls_at_rejects_non_finite_times(alpha, m3, t):
     assert math.isfinite(controls_at(e, 0.7).v1)
     with pytest.raises(DomainError):
         controls_at(e, t)
+
+
+@pytest.mark.parametrize(
+    "alpha, m3",
+    [(0.5, 0.0), (0.5, math.sqrt(0.75) / 0.5), (0.5, 1.7), (0.5, 9.0), (2.0, 0.3)],
+)
+def test_control_closure_calls_a_wrapped_kernel_once_per_evaluation(alpha, m3, monkeypatch):
+    # the benchmark's per-layer counters wrap min_energy.sncndn before an op
+    # builds its closures, and count every evaluation through the wrapper
+    calls = []
+    kernel = min_energy.sncndn
+
+    def counted(u, k):
+        calls.append(u)
+        return kernel(u, k)
+
+    monkeypatch.setattr(min_energy, "sncndn", counted)
+    ctrl = extremal_control(EnergyExtremal(alpha, m3))
+    times = [0.0, 0.25, 0.25, 1.5, 7.0]
+    for t in times:
+        ctrl(t)
+    assert len(calls) == len(times)
+
+
+def _parent_quarter(e):
+    return complete_k_comp(e.comodulus) / e.rate
+
+
+def _parent_transfer_time(e):
+    if e.comodulus <= 0.0:
+        return math.inf
+    return _parent_quarter(e)
+
+
+def _parent_half_period(e):
+    if e.regime in (Regime.ZERO, Regime.CRITICAL) or e.comodulus <= 0.0:
+        return math.inf
+    kk = complete_k_comp(e.comodulus)
+    if e.regime is Regime.SUB_CRITICAL:
+        return kk / e.rate
+    return 2.0 * kk / e.rate
+
+
+def _parent_horizon(e):
+    base = math.sqrt(3.0) * math.pi / 2.0 * max(1.0, 1.0 / e.alpha)
+    if e.regime in (Regime.SUPER_CRITICAL, Regime.ALPHA_ABOVE_ONE):
+        scale = _parent_transfer_time(e)
+    elif e.regime is Regime.SUB_CRITICAL and e.comodulus > 0.0:
+        scale = _parent_quarter(e)
+    elif e.regime is Regime.CRITICAL and e.rate > 0.0:
+        scale = 25.0 / e.rate
+    else:
+        scale = math.pi
+    return 10.0 * max(base, min(scale, 100.0 * base))
+
+
+QUARTER_PERIOD_CASES = [
+    (0.5, 0.0, Regime.ZERO),
+    (2.0, 0.0, Regime.ZERO),
+    (0.5, math.sqrt(0.75) / 0.5, Regime.CRITICAL),
+    (1.0, 0.0, Regime.ZERO),
+    (1.0, 1e-9, Regime.CRITICAL),  # rate 0
+    (0.5, 0.3, Regime.SUB_CRITICAL),
+    (0.5, 1.7, Regime.SUB_CRITICAL),
+    (0.08, 12.0, Regime.SUB_CRITICAL),
+    (0.5, 1.8, Regime.SUPER_CRITICAL),
+    (0.5, 9.0, Regime.SUPER_CRITICAL),
+    (1.0, 0.9, Regime.SUPER_CRITICAL),
+    (0.5, 1e12, Regime.SUPER_CRITICAL),
+    (2.0, 0.3, Regime.ALPHA_ABOVE_ONE),
+    (2.0, 1e-9, Regime.ALPHA_ABOVE_ONE),
+    (13.0, 0.01, Regime.ALPHA_ABOVE_ONE),
+]
+
+
+@pytest.mark.parametrize("alpha, m3, regime", QUARTER_PERIOD_CASES)
+def test_quarter_period_readers_keep_their_formulas_bit_for_bit(alpha, m3, regime):
+    e = EnergyExtremal(alpha, m3)
+    assert e.regime is regime
+    assert e.half_period.hex() == _parent_half_period(e).hex()
+    assert _horizon(e).hex() == _parent_horizon(e).hex()
+    if regime in (Regime.SUPER_CRITICAL, Regime.ALPHA_ABOVE_ONE):
+        assert transfer_time(alpha, m3).hex() == _parent_transfer_time(e).hex()
+    else:
+        with pytest.raises(RegimeError):
+            transfer_time(alpha, m3)
+
+
+@pytest.mark.parametrize("alpha, m3", [(0.5, 1.7), (0.5, 9.0), (2.0, 0.3)])
+def test_a_zero_comodulus_gives_infinite_periods(alpha, m3):
+    # k' = 0 is out of reach of the constructor outside the critical window;
+    # set it by hand before the quarter period is first read
+    e = EnergyExtremal(alpha, m3)
+    object.__setattr__(e, "_kp", 0.0)
+    assert e._quarter_period == math.inf
+    assert e.half_period == math.inf
+    assert _horizon(e).hex() == _parent_horizon(e).hex()

@@ -6,6 +6,7 @@ import pytest
 
 from qoct import (
     QuadratureDepthError,
+    Splitmix64,
     bisect_root,
     complete_k,
     min_time_law,
@@ -92,3 +93,34 @@ def test_bisect_root_stops_at_adjacent_floats():
     x = bisect_root(lambda x: x - 1e6 - 1.0 / 3.0, lo, hi, 1e-12)
     assert lo <= x <= hi
     assert abs(x - (1e6 + 1.0 / 3.0)) <= math.ulp(1e6)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", None, math.nan])
+def test_splitmix_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(DomainError):
+        Splitmix64(seed)
+
+
+@pytest.mark.parametrize(
+    "a, b, tol",
+    [
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+        (0.0, 1.0, 0.0),
+        (0.0, 1.0, -1e-9),
+        (0.0, math.inf, 1e-9),
+        (-math.inf, 0.0, 1e-9),
+        (math.nan, 1.0, 1e-9),
+        (0.0, math.nan, 1e-9),
+    ],
+)
+def test_quadrature_rejects_bad_input_before_integrating(a, b, tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0
+
+    with pytest.raises(DomainError):
+        quadrature(f, a, b, tol)
+    assert calls == []

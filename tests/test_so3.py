@@ -282,3 +282,12 @@ def test_arc_form_traces_the_rodrigues_rotation(g, p, t):
     n = g.axis() / w
     assert np.max(np.abs(A - (p @ n) * n)) <= 1e-15
     assert abs(float(B @ n)) <= 1e-15 and abs(float(C @ n)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "arr", [[1.0, 0.0, 0.0, 5.0], [1.0, 0.0], [[1.0, 0.0, 0.0]], [], 1.0, [[1.0, 0.0], [0.0]], "abc", [1j, 0, 0]]
+)
+def test_state_from_array_takes_exactly_three_real_components(arr):
+    with pytest.raises(DomainError):
+        StateS2.from_array(arr)
+

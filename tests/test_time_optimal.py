@@ -788,3 +788,12 @@ def test_reach_screen_scans_a_target_just_beyond_the_tangent(alpha, screened):
     assert gap > tol.SYNTHESIS_SCREEN_MARGIN
     assert screened(fam, alpha, target)
     assert _reference_scan(fam, alpha, target)[0] == []
+
+
+@pytest.mark.parametrize(
+    "arr", [[1.0, 0.0, 0.0, 5.0], [1.0, 0.0], [[1.0, 0.0, 0.0]], [], 1.0, [[1.0, 0.0], [0.0]], "abc", [1j, 0, 0]]
+)
+def test_switching_state_from_array_takes_exactly_three_real_components(arr):
+    with pytest.raises(DomainError):
+        SwitchingState.from_array(arr)
+
