@@ -5,12 +5,12 @@ paths they check: the random pulse search propagates candidate laws exactly
 and reports the fastest one that touches a small ball around the target, and
 the adaptive Simpson rule provides an integral oracle for the elliptic
 module and the energy cost.  The search's own circle arithmetic (its arcs'
-sinusoids in ``_block_hits``, ``_arc_window`` and ``_first_ball_peak``) is
-kept apart from ``so3.arc_form`` on purpose, so that a fault there cannot
-hide in both the synthesis and its check.  ``bisect_root`` is the package's
-one scalar root bisection, used by the time-optimal synthesis and the
-acceptance criteria; the energy dichotomy and the integrator's exit location
-bisect on exit faces and boundary crossings instead.
+sinusoids and the one hit rule in ``_block_hits``) is kept apart from
+``so3.arc_form`` on purpose, so that a fault there cannot hide in both the
+synthesis and its check.  ``bisect_root`` is the package's one scalar root
+bisection, used by the time-optimal synthesis and the acceptance criteria;
+the energy dichotomy and the integrator's exit location bisect on exit faces
+and boundary crossings instead.
 """
 
 from __future__ import annotations
@@ -66,9 +66,14 @@ class Splitmix64:
         self._state = (self._state + n * _GAMMA) & _M64
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        """Uniform on [lo, hi); both ends must be finite."""
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"uniform ends must be finite, got [{lo!r}, {hi!r}]")
         return _uniform(self.next_u64() >> 11, lo, hi)
 
     def below(self, n: int) -> int:
+        """Uniform on 0, 1, ..., n - 1 for a whole count n >= 1."""
+        require_count("draw range", n)
         return self.next_u64() % n
 
 
@@ -111,7 +116,13 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Plain bisection for a sign change of f on [lo, hi], to a width tol > 0.
 
     The bracket stops shrinking at two adjacent floats, whatever tol is.
+
+    Raises:
+        DomainError: ends that are not finite with lo < hi, a tolerance that
+            is not finite and positive, or no sign change on the bracket.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"bisect_root needs finite ends with lo < hi, got [{lo!r}, {hi!r}]")
     require("bisection tolerance", tol)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -153,16 +164,15 @@ _CORNER_U1 = np.array([1.0, 1.0, -1.0, -1.0])
 _CORNER_U2 = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _draw_block(rng, count, max_segments, d_max, fixed):
+def _draw_block(rng, count, max_segments, d_max):
     """Draw up to ``count`` next candidates of the stream.
 
-    A candidate draws its segment count, then per segment either a duration
-    (fixed controls) or a corner-or-uniform choice, a corner or two controls,
-    and a duration.  The length of a segment is known from its first draw,
-    so every draw position is given the length of a segment starting there;
-    pointer doubling over those lengths gives the end of a candidate
-    starting anywhere, and walking from one candidate to the next is a single
-    lookup.  When the candidates run longer than the block's draws allow,
+    A candidate draws its segment count, then per segment a corner-or-uniform
+    choice, a corner or two controls, and a duration.  The length of a
+    segment is known from its first draw, so every draw position is given the
+    length of a segment starting there; pointer doubling over those lengths
+    gives the end of a candidate starting anywhere, and walking from one
+    candidate to the next is a single lookup.  When the candidates run longer than the block's draws allow,
     the block holds fewer than ``count``.
 
     Returns (live, u1, u2, dur), each indexed [k, j] for candidate j's k-th
@@ -170,23 +180,16 @@ def _draw_block(rng, count, max_segments, d_max, fixed):
     entries are meaningless.  Advances the stream past the block's last
     candidate.
     """
-    if fixed is not None:
-        per_seg, mean_seg = 1, 1.0
-    else:
-        per_seg, mean_seg = 4, 4.0 - CORNER_SHARE
-    mean_len = 1.0 + mean_seg * (max_segments + 1) / 2
+    mean_len = 1.0 + (4.0 - CORNER_SHARE) * (max_segments + 1) / 2
     count = max(1, min(count, int(_BLOCK_DRAWS / mean_len)))
     # room for ``count`` candidates of average length and a tenth more, plus
     # the longest candidate, so that every block holds at least one
-    n = int(1.1 * count * mean_len) + 1 + per_seg * max_segments
-    raw = rng.peek(n + per_seg - 1)
+    n = int(1.1 * count * mean_len) + 1 + 4 * max_segments
+    raw = rng.peek(n + 3)
     bits = (raw >> np.uint64(11)).astype(np.float64)
     pos = np.arange(n)
-    if fixed is not None:
-        seg_len = 1
-    else:
-        corner = _uniform(bits[:n], 0.0, 1.0) < CORNER_SHARE
-        seg_len = 4 - corner
+    corner = _uniform(bits[:n], 0.0, 1.0) < CORNER_SHARE
+    seg_len = 4 - corner
     # jump[p]: start of the segment after one starting at p, n + 1 once that
     # segment or a later one would run past the block's draws
     jump = np.minimum(np.append(pos + seg_len, (n + 1, n + 1)), n + 1)
@@ -212,9 +215,6 @@ def _draw_block(rng, count, max_segments, d_max, fixed):
         heads[k] = jump[heads[k - 1]]
     live = np.arange(len(heads))[:, None] < n_seg
     heads[~live] = 0  # any position inside the block
-    if fixed is not None:
-        u1, u2 = np.full(heads.shape, float(fixed[0])), np.full(heads.shape, float(fixed[1]))
-        return live, u1, u2, _uniform(bits[heads], 0.0, d_max)
     corner = corner[heads]
     which = (raw[heads + 1] % np.uint64(4)).astype(np.intp)
     u1 = np.where(corner, _CORNER_U1[which], _uniform(bits[heads + 1], -1.0, 1.0))
@@ -226,12 +226,14 @@ def _draw_block(rng, count, max_segments, d_max, fixed):
 def _block_hits(segments, alpha, z_min):
     """Every candidate of a block that touches the target ball.
 
-    All live candidates advance one exact arc at a time.  An arc goes to the
-    scalar refinement only when its psi3 circle can reach z_min and its first
-    peak or its end lies in the arc's window (``_arc_window``), tested with
-    margins so that no arc the refinement would accept is discarded.
+    All live candidates advance one exact arc at a time.  Along an arc,
+    psi3(t) = A + B cos(w t) + C sin(w t).  An arc that moves and whose
+    circle top A + hypot(B, C) reaches z_min hits at its first psi3 peak,
+    t = atan2(C, B) / w wrapped into [0, 2 pi / w), when that lies within the
+    arc and psi3 there reaches z_min; otherwise at its end, when psi3 there
+    reaches z_min.
 
-    Returns a list of (hit time, candidate, segment, refined arc time).
+    Returns a list of (hit time, candidate, segment, arc time of the hit).
     """
     live_seg, u1, u2, dur = segments
     count = live_seg.shape[1]
@@ -255,24 +257,24 @@ def _block_hits(segments, alpha, z_min):
         th = w * d
         small = th < tol.PULSE_SMALL_ANGLE
         with np.errstate(divide="ignore", invalid="ignore"):  # standing arcs, w = 0
-            # psi3(t) = A + B*cos(w t) + C*sin(w t) along the arc
             r = ggz / w2
             A, B, C = zs + r, -r, gz / w
             s_c = np.where(small, d, np.sin(th) / w)
             c_c = np.where(small, 0.5 * d * d, (1.0 - np.cos(th)) / w2)
-        reach = A + np.hypot(B, C)
-        near = (w2 >= tol.PULSE_NO_MOTION) & (reach >= z_min - tol.PULSE_SCREEN_MARGIN)
-        cand = np.flatnonzero(near)
-        if cand.size:
-            cand = cand[_arc_window(A[cand], B[cand], C[cand], th[cand], z_min)]
-        for i in cand.tolist():
-            t_hit = _first_ball_peak(
-                float(w[i]), float(A[i]), float(B[i]), float(C[i]), float(d[i]), z_min
-            )
-            if t_hit is not None:
-                j = int(idx[i])
-                hits.append((float(elapsed[j]) + t_hit, j, k, t_hit))
-                live[j] = False
+        near = np.flatnonzero((w2 >= tol.PULSE_NO_MOTION) & (A + np.hypot(B, C) >= z_min))
+        if near.size:
+            A, B, C, wn, dn = A[near], B[near], C[near], w[near], d[near]
+            phase = np.arctan2(C, B)
+            t_peak = np.where(phase < 0.0, phase + 2.0 * np.pi, phase) / wn
+            wt = wn * t_peak
+            at_peak = (t_peak <= dn) & (A + B * np.cos(wt) + C * np.sin(wt) >= z_min)
+            at_end = A + B * np.cos(th[near]) + C * np.sin(th[near]) >= z_min
+            hit = at_peak | at_end
+            j = idx[near[hit]]
+            t_hit = np.where(at_peak, t_peak, dn)[hit]
+            hits.extend(zip((elapsed[j] + t_hit).tolist(), j.tolist(), [k] * j.size,
+                            t_hit.tolist()))
+            live[j] = False
         x[idx] = xs + s_c * gx + c_c * ggx
         y[idx] = ys + s_c * gy + c_c * ggy
         z[idx] = zs + s_c * gz + c_c * ggz
@@ -280,75 +282,7 @@ def _block_hits(segments, alpha, z_min):
     return hits
 
 
-def _arc_window(A, B, C, th, z_min):
-    """Arcs on which ``_first_ball_peak`` can find a hit, as a boolean mask.
-
-    Along an arc of angle th = w*dur, psi3 = A + B cos(w t) + C sin(w t)
-    peaks first at the angle atan2(C, B) wrapped into [0, 2*pi).  The
-    refinement's candidates are the peaks within the arc and its end, so an
-    arc whose first peak lies past its end and whose end lies below z_min
-    yields nothing.  The margins keep every arc the scalar test keeps.
-    """
-    margin = tol.PULSE_WINDOW_MARGIN
-    phase = np.arctan2(C, B)
-    phase = np.where(phase < -margin, phase + 2.0 * np.pi, phase)
-    peak_inside = phase <= th + margin * (th + 2.0 * np.pi)
-    end_inside = A + B * np.cos(th) + C * np.sin(th) >= z_min - tol.PULSE_SCREEN_MARGIN
-    return peak_inside | end_inside
-
-
-def _first_ball_peak(w, A, B, C, dur, z_min):
-    """Earliest local maximum of psi3(t) = A + B cos(w t) + C sin(w t) on
-    [0, dur] with psi3 >= z_min.
-
-    Returns the refined peak time or None.  The peak is polished by bisecting
-    the derivative sign change around the analytic candidate.
-    """
-    R = math.hypot(B, C)
-    if A + R < z_min:
-        return None
-
-    def psi3(t):
-        return A + B * math.cos(w * t) + C * math.sin(w * t)
-
-    def dpsi3(t):
-        return w * (-B * math.sin(w * t) + C * math.cos(w * t))
-
-    # interior peaks at w*t = atan2(C, B) (mod 2*pi)
-    phase = math.atan2(C, B)
-    period = 2.0 * math.pi / w
-    t_peak = phase / w
-    while t_peak < 0.0:
-        t_peak += period
-    candidates = []
-    t = t_peak
-    while t <= dur:
-        candidates.append(t)
-        t += period
-    if psi3(dur) >= z_min:
-        candidates.append(dur)
-    for t0 in sorted(candidates):
-        if psi3(t0) < z_min:
-            continue
-        if t0 >= dur - tol.PULSE_END_SNAP:
-            return dur
-        eps = min(tol.PULSE_PEAK_BRACKET * period, 0.25 * (dur - t0), t0 if t0 > 0 else period)
-        lo, hi = max(t0 - eps, 0.0), min(t0 + eps, dur)
-        if dpsi3(lo) > 0.0 > dpsi3(hi):
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if dpsi3(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t0 = 0.5 * (lo + hi)
-        if psi3(t0) >= z_min:
-            return t0
-    return None
-
-
-def _check_search_args(alpha, n_candidates, max_segments, target_radius,
-                       fixed_controls, max_duration):
+def _check_search_args(alpha, n_candidates, max_segments, target_radius):
     require_count("candidate count", n_candidates)
     require_count("segment count", max_segments)
     require("nonisotropy factor", alpha)
@@ -356,12 +290,6 @@ def _check_search_args(alpha, n_candidates, max_segments, target_radius,
     # hold the source (1, 0, 0)
     if not 0.0 < target_radius < math.sqrt(2.0):
         raise DomainError(f"target radius must be in (0, sqrt 2), got {target_radius!r}")
-    if max_duration is not None:
-        require("maximum segment duration", max_duration)
-    if fixed_controls is not None and not (
-        len(fixed_controls) == 2 and all(abs(u) <= 1.0 for u in fixed_controls)
-    ):
-        raise DomainError(f"fixed controls must be two values in [-1, 1], got {fixed_controls!r}")
 
 
 def sample_search_min_time(
@@ -370,49 +298,44 @@ def sample_search_min_time(
     max_segments: int,
     seed: int,
     target_radius: float = 1e-3,
-    fixed_controls: tuple[float, float] | None = None,
-    max_duration: float | None = None,
 ):
     """Random search over admissible piecewise-constant pulses.
 
     Candidate laws draw each segment's controls from the corners of the
-    control square with probability ``CORNER_SHARE`` and uniformly otherwise
-    (or use ``fixed_controls`` for every segment), with durations uniform on
-    [0, max_duration].  Each candidate is propagated exactly; it scores the
-    earliest time its trajectory passes a local minimum of the distance to
-    the target inside a ball of radius ``target_radius``, refined by
-    bisection.  Deterministic for a fixed seed, and candidates are generated
-    as a single stream so results for n candidates are a prefix of those for
-    more.  Candidates are processed in blocks of arrays, with answers equal
-    to the last bit to those of one candidate at a time.
+    control square with probability ``CORNER_SHARE`` and uniformly otherwise,
+    with durations uniform on [0, pi * max(1, 1/alpha)].  Each candidate is
+    propagated exactly; it scores the earliest time its trajectory, inside a
+    ball of radius ``target_radius`` around the target, either passes the
+    analytic psi3 peak of an arc or ends an arc.  Deterministic for a fixed
+    seed, and candidates are generated as a single stream so results for n
+    candidates are a prefix of those for more.  Candidates are processed in
+    blocks of arrays, with answers equal to the last bit to those of one
+    candidate at a time.
 
     Raises:
         DomainError: a count below one or not whole, a seed that is not an
-            integer, a non-finite or non-positive factor or duration cap, a
-            radius outside (0, sqrt 2), or fixed controls outside [-1, 1].
+            integer, a non-finite or non-positive factor, or a radius outside
+            (0, sqrt 2).
 
     Returns:
         (best_time, best_segments) where best_segments is a tuple of
         (u1, u2, duration) triples truncated at the scoring time, or
         (inf, None) when no candidate touches the ball.
     """
-    _check_search_args(alpha, n_candidates, max_segments, target_radius,
-                       fixed_controls, max_duration)
+    _check_search_args(alpha, n_candidates, max_segments, target_radius)
     rng = Splitmix64(seed)  # checks the seed
-    d_max = max_duration if max_duration is not None else math.pi * max(1.0, 1.0 / alpha)
+    d_max = math.pi * max(1.0, 1.0 / alpha)
     z_min = 1.0 - 0.5 * target_radius * target_radius
 
     best = None  # the least (time, segments) pair, so hit order does not matter
     left = n_candidates
     while left:
-        segments = _draw_block(rng, min(_BLOCK, left), max_segments, d_max, fixed_controls)
+        segments = _draw_block(rng, min(_BLOCK, left), max_segments, d_max)
         left -= segments[0].shape[1]
         for time, j, k, t_hit in _block_hits(segments, alpha, z_min):
             if best is not None and time > best[0]:
                 continue
             u1, u2, dur = (v[: k + 1, j].tolist() for v in segments[1:])
-            if fixed_controls is not None:  # as the caller gave them
-                u1, u2 = [fixed_controls[0]] * (k + 1), [fixed_controls[1]] * (k + 1)
             dur[-1] = t_hit
             cand = (time, tuple(zip(u1, u2, dur)))
             if best is None or cand < best:

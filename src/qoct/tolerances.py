@@ -113,24 +113,11 @@ STATE_NORM = 1e-10
 IMAGINARY_RESIDUE = 1e-4
 
 # random pulse search: an arc angle below PULSE_SMALL_ANGLE uses the series
-# coefficients, a squared rate below PULSE_NO_MOTION is a standing arc, a
-# peak within PULSE_END_SNAP of the arc end is the end, and a peak is
-# bracketed by PULSE_PEAK_BRACKET of the arc period before bisection
+# coefficients, and a squared rate below PULSE_NO_MOTION is a standing arc,
+# which never hits; every other hit is decided once, without margins, at the
+# analytic psi3 peak or the arc end
 PULSE_SMALL_ANGLE = 1e-9
 PULSE_NO_MOTION = 1e-24
-PULSE_END_SNAP = 1e-15
-PULSE_PEAK_BRACKET = 1e-4
-
-# the array screen of the pulse search passes an arc whose psi3 circle comes
-# within this of the target ball, so rounding differences between its
-# hypot and the scalar refinement's can never discard a hit
-PULSE_SCREEN_MARGIN = 1e-12
-
-# the array window test of the pulse search passes an arc whose first psi3
-# peak comes within this share (plus this many radians) of the arc's end
-# angle, and treats a peak phase above -PULSE_WINDOW_MARGIN as no wrap, so
-# numpy's atan2 differing from libm's by an ulp can never discard a hit
-PULSE_WINDOW_MARGIN = 1e-9
 
 # RK4 stage times at a subinterval's right end are pulled inside it by this
 # share of its width, so a piecewise-constant control is read on the left

@@ -53,9 +53,9 @@ def test_search_monotone_in_candidate_count():
 
 
 def test_search_single_bang_recovers_the_optimum():
-    best, segs = sample_search_min_time(
-        1.0, 2000, 1, seed=7, fixed_controls=(1.0, 1.0)
-    )
+    # one segment from (1, 0, 0) at alpha = 1: a corner arc of rate sqrt 2
+    # peaks at the target at pi/sqrt 2, and every other arc peaks later
+    best, segs = sample_search_min_time(1.0, 2000, 1, seed=7)
     assert abs(best - math.pi / math.sqrt(2.0)) < 1e-6
     assert segs is not None and len(segs) == 1
 
@@ -99,6 +99,49 @@ def test_bisect_root_stops_at_adjacent_floats():
 def test_splitmix_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(DomainError):
         Splitmix64(seed)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: x - 0.3, 1.0, -1.0),  # reversed: used to return 0.0
+        (lambda x: 0.3 - x, math.nan, 1.0),  # used to return nan
+        (lambda x: x - 0.3, -math.inf, 1.0),  # used to return -inf
+        (lambda x: x - 0.3, 0.5, 0.5),
+        (lambda x: x - 0.3, 0.0, math.inf),
+    ],
+)
+def test_bisect_root_rejects_a_bad_bracket(f, lo, hi):
+    with pytest.raises(DomainError):
+        bisect_root(f, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda r: r.below(0),  # used to raise ZeroDivisionError
+        lambda r: r.below(-3),  # used to return -1
+        lambda r: r.below(2.5),  # used to return 1.0
+        lambda r: r.uniform(math.nan, 1.0),  # used to return nan
+        lambda r: r.uniform(0.0, math.inf),
+        lambda r: r.uniform(-math.inf, 0.0),
+    ],
+    ids=["below(0)", "below(-3)", "below(2.5)", "uniform(nan,1)", "uniform(0,inf)",
+         "uniform(-inf,0)"],
+)
+def test_splitmix_rejects_a_bad_draw_and_stays_put(draw):
+    rng = Splitmix64(5)
+    with pytest.raises(DomainError):
+        draw(rng)
+    assert rng.next_u64() == Splitmix64(5).next_u64()
+
+
+def test_splitmix_draws_keep_their_formulas():
+    rng, raw = Splitmix64(2718), Splitmix64(2718)
+    for n in (1, 3, 4, 2**64 + 3):
+        assert rng.below(n) == raw.next_u64() % n
+    for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (math.log(0.25), math.log(4.0))):
+        assert rng.uniform(lo, hi) == lo + (hi - lo) * (raw.next_u64() >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize(
