@@ -57,12 +57,14 @@ class Splitmix64:
         return _mix(self._state)
 
     def peek(self, n: int) -> np.ndarray:
-        """The next n draws of ``next_u64`` as a uint64 array; the stream stays put."""
+        """The next n >= 1 draws of ``next_u64`` as a uint64 array; the stream stays put."""
+        require_count("draw count", n)
         steps = np.arange(1, n + 1, dtype=np.uint64)
         return _mix(np.uint64(self._state) + steps * np.uint64(_GAMMA))
 
     def skip(self, n: int) -> None:
-        """Advance the stream past n draws."""
+        """Advance the stream past n >= 1 draws."""
+        require_count("draw count", n)
         self._state = (self._state + n * _GAMMA) & _M64
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:

@@ -136,6 +136,25 @@ def test_splitmix_rejects_a_bad_draw_and_stays_put(draw):
     assert rng.next_u64() == Splitmix64(5).next_u64()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: r.peek(2.5),  # used to return three draws
+        lambda r: r.peek(-3),  # used to return an empty array
+        lambda r: r.peek(0),
+        lambda r: r.skip(-1),  # used to rewind the stream
+        lambda r: r.skip(2.5),  # used to raise TypeError
+        lambda r: r.skip(0),
+    ],
+    ids=["peek(2.5)", "peek(-3)", "peek(0)", "skip(-1)", "skip(2.5)", "skip(0)"],
+)
+def test_splitmix_block_calls_reject_a_bad_count_and_stay_put(call):
+    rng = Splitmix64(5)
+    with pytest.raises(DomainError):
+        call(rng)
+    assert rng.next_u64() == Splitmix64(5).next_u64()
+
+
 def test_splitmix_draws_keep_their_formulas():
     rng, raw = Splitmix64(2718), Splitmix64(2718)
     for n in (1, 3, 4, 2**64 + 3):
