@@ -79,15 +79,10 @@ def _write(text: str, out_path: str | None):
 
 
 def _csv(header: list[str], rows) -> str:
-    lines = [SCHEMA_COMMENT, ",".join(header)]
-    # one C-level format per all-float row; "%.17g" % x == format(x, ".17g")
+    """Rows of floats, one per header column; "%.17g" % x == format(x, ".17g")."""
     fmt = ",".join(["%.17g"] * len(header))
-    floats = repeat(float)
-    for row in rows:
-        if len(row) == len(header) and all(map(isinstance, row, floats)):
-            lines.append(fmt % tuple(row))
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
+    lines = [SCHEMA_COMMENT, ",".join(header)]
+    lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

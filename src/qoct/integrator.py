@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, HorizonError, StepError, require
+from .errors import DomainError, HorizonError, StepError, require, require_count
 from .so3 import StateS2
 from .tolerances import RENORM_LIMIT, STEP_COUNT_SLACK
 
@@ -221,8 +221,10 @@ def propagate(
         T: final time (>= 0).
         h: nominal step; each subinterval between switch times uses the
             largest uniform step not exceeding h.
-        switch_times: interior discontinuity times.
-        record_every: thin the records (subinterval ends always kept).
+        switch_times: finite discontinuity times; those outside (0, T)
+            are ignored.
+        record_every: thin the records to every n-th step, a whole
+            number >= 1 (subinterval ends always kept).
         bulk_control: optional array twin of control, ts -> (c1s, c2s),
             equal to it element by element; the steps then read their
             stage controls from it, one chunk of steps per call.
@@ -232,6 +234,10 @@ def propagate(
     """
     require("step h", h)
     require("final time T", T, closed=True)
+    require_count("record_every", record_every)
+    switch_times = tuple(switch_times)
+    if not all(map(math.isfinite, switch_times)):
+        raise DomainError(f"switch times must be finite, got {switch_times!r}")
     out = [(0.0, state)]
     cuts = sorted({0.0, T, *(s for s in switch_times if 0.0 < s < T)})
     for t0, t1 in zip(cuts[:-1], cuts[1:]):

@@ -127,7 +127,7 @@ STAGE_TIME_NUDGE = 1e-10
 ENERGY_QUADRATURE = 1e-10
 
 # acceptance criteria behind ``qoct verify`` (``qoct.acceptance``); each
-# check and the tolerance its line prints read the same constant
+# is the bound of a measured check, which its line prints
 VERIFY_ISOTROPIC_DURATION = 1e-12  # A01: duration against pi/sqrt(2)
 VERIFY_EXACT_ENDPOINT = 1e-10  # A01, A02: exact endpoints and intermediate points
 VERIFY_TIME_INVERSION = 1e-12  # A03: bounded-control transfer times

@@ -5,8 +5,9 @@ arguments and the ``repr`` of its ``(best_time, segments)`` answer, so the
 test can demand the same answer to the last bit.  The cases cover factors
 from 0.08 to 13 (including exactly 1, where many arcs reach the target
 ball), negative and above-2**63 seeds, candidate counts on both sides of the
-search's block boundaries (255, 256, 257, 511, 512, 513) and at 4000, one,
-two, three, five and eight segments, and target radii from 1e-6 to 1.4.
+search's block boundaries (255, 256, 257, 511, 512, 513) and at 700 and
+4000, one, two, three, four, five and eight segments, and target radii from
+1e-6 to 1.4.
 
 A case whose answer ends at a psi3 peak also records ``peak``: the exact
 first peak time, at 30 digits, of the float sinusoid
@@ -58,6 +59,9 @@ def _cases():
     add(1.2, 1000, 5, 17, target_radius=1.4)
     add(0.8, 1000, 5, 17, target_radius=1e-6)
     add(3.0, 1500, 8, 21, target_radius=0.02)
+    # its last arc ends 1.33 ulps from its exact peak: past one ulp, within
+    # the bound the peak rule's rounding gives
+    add(0.6, 700, 4, 5, target_radius=0.01)
     return cases
 
 

@@ -1,64 +1,24 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one pass/fail line (visible with ``pytest -s`` or in the
-failure report) and asserts the criterion outcome.  The same checks back the
-``qoct verify`` subcommand.
+Each criterion runs through ``evaluate``, as ``qoct verify`` runs it; the
+test prints its line (visible with ``pytest -s`` or in the failure report)
+and asserts the outcome.
 """
 
-import re
+import math
 import time
 
 import pytest
 
 from qoct import acceptance
-
-CRITERIA = {name: fn for name, fn in acceptance._CRITERIA}
-
-
-def _run(name):
-    ok, detail = CRITERIA[name](False)
-    print(f"{name}: {'PASS' if ok else 'FAIL'} [{detail}]")
-    assert ok, f"{name}: {detail}"
+from qoct.cli import main
 
 
-def test_a01_min_time_isotropic():
-    _run("A01-min-time-isotropic")
-
-
-def test_a02_min_time_nonisotropic():
-    _run("A02-min-time-nonisotropic")
-
-
-def test_a03_inversion_symmetry():
-    _run("A03-inversion-symmetry")
-
-
-def test_a04_min_energy_isotropic():
-    _run("A04-min-energy-isotropic")
-
-
-def test_a05_min_energy_nonisotropic():
-    _run("A05-min-energy-nonisotropic")
-
-
-def test_a06_conserved_integrals():
-    _run("A06-conserved-integrals")
-
-
-def test_a07_closed_form_ode_residuals():
-    _run("A07-closed-form-ode-residuals")
-
-
-def test_a08_elliptic_suite():
-    _run("A08-elliptic-suite")
-
-
-def test_a09_switching_rules():
-    _run("A09-switching-rules")
-
-
-def test_a10_brute_force_certificate():
-    _run("A10-brute-force-certificate")
+@pytest.mark.parametrize("name,fn", acceptance._CRITERIA, ids=[n for n, _ in acceptance._CRITERIA])
+def test_criterion_passes(name, fn):
+    result = acceptance.evaluate(name, fn, False)
+    print(f"{name}: {'PASS' if result.ok else 'FAIL'} [{result.detail}]")
+    assert result.ok, f"{name}: {result.detail}"
 
 
 def test_a10_elapsed_time_ignores_a_wall_clock_jump(monkeypatch):
@@ -74,15 +34,41 @@ def test_a10_elapsed_time_ignores_a_wall_clock_jump(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(acceptance, "sample_search_min_time", jumping_search)
-    ok, detail = CRITERIA["A10-brute-force-certificate"](True)
+    result = acceptance.evaluate("A10", acceptance.criterion_10, True)
     assert offset[0] == 3 * 3600.0
-    assert ok, detail
-    assert float(re.search(r"elapsed ([0-9.]+)s", detail).group(1)) < 60.0
+    assert result.ok, result.detail
+    assert {label: value for label, value, _ in result.checks}["elapsed s"] < 60.0
 
 
-def test_a11_resonant_lift():
-    _run("A11-resonant-lift")
+@pytest.mark.parametrize(
+    "checks,ok,line",
+    [
+        ([("err", 1e-7, 1e-6), ("inside", True, None)], True, "err 1.00e-07 (tol 1e-6), inside True"),
+        ([("err", 1e-6, 1e-6)], True, "err 1.00e-06 (tol 1e-6)"),  # a bound is inclusive
+        ([("err", 2e-6, 1e-6)], False, "err 2.00e-06 (tol 1e-6)"),
+        ([("err", math.nan, 1e-6)], False, "err nan (tol 1e-6)"),
+        ([("inside", False, None)], False, "inside False"),
+        ([], False, ""),  # a criterion that measures nothing certifies nothing
+    ],
+)
+def test_evaluate_derives_verdict_and_line_from_the_checks(checks, ok, line):
+    result = acceptance.evaluate("A00", lambda fast: checks, True)
+    assert (result.ok, result.detail, result.checks) == (ok, line, tuple(checks))
 
 
-def test_a12_figure_data():
-    _run("A12-figure-data")
+def test_a_check_over_its_bound_or_a_raise_fails_verify(monkeypatch, capsys):
+    def raising(fast):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", [
+        ("A01-over", lambda fast: [("err", 2e-6, 1e-6)]),
+        ("A02-raises", raising),
+        ("A03-fine", lambda fast: [("err", 0.0, 1e-6)]),
+    ])
+    assert main(["verify", "--fast"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "A01-over    FAIL  err 2.00e-06 (tol 1e-6)",
+        "A02-raises  FAIL  raised ZeroDivisionError: float division by zero",
+        "A03-fine    PASS  err 0.00e+00 (tol 1e-6)",
+        "2 of 3 criteria failed",
+    ]

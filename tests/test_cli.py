@@ -147,14 +147,12 @@ def test_float_formatting_round_trips(capsys):
 
 
 def test_csv_rows_format_like_each_value():
-    # all-float rows take one C-level format; anything else goes value by value
+    # one C-level format per row of floats writes each value as _fmt does
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2**64, size=(300, 3), dtype=np.uint64)
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e17, 0.1]
     rows = [tuple(float(v) for v in row.view(np.float64)) for row in bits]
-    rows += [(a, -a, np.float64(a)) for a in specials]
-    rows += [(1.0, 2, 3.5), (True, 0.5, 1.0), (10**17, 0.5, 1.0), ("x", 0.5, 1.0),
-             (0.5, np.int64(2**60), 1.0), (0.5, 1.0), (0.5, 1.0, 2.0, 3.0), [0.25, 0.5, 1.0]]
+    rows += [(a, -a, np.float64(a)) for a in specials] + [[0.25, 0.5, 1.0]]
     want = [SCHEMA_COMMENT, "a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows]
     assert _csv(["a", "b", "c"], rows) == "\n".join(want) + "\n"
 
@@ -248,7 +246,7 @@ def test_verify_prints_tolerances_as_written():
     tol_text = qoct.acceptance._tol
     for value, text in [(1e-12, "1e-12"), (1e-9, "1e-9"), (1e-6, "1e-6"), (5e-3, "5e-3")]:
         assert tol_text(value) == text
-    _, detail = qoct.acceptance.criterion_01(True)
+    detail = qoct.acceptance.evaluate("A01", qoct.acceptance.criterion_01, True).detail
     assert "(tol 1e-12)" in detail and "(tol 1e-10)" in detail
-    _, detail = qoct.acceptance.criterion_04(True)
+    detail = qoct.acceptance.evaluate("A04", qoct.acceptance.criterion_04, True).detail
     assert "(tol 1e-8)" in detail and "(tol 1e-10)" in detail

@@ -364,12 +364,18 @@ def test_integrate_argument_checks():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"h": math.nan}, {"T": math.inf}, {"T": math.nan}, {"alpha": math.nan}, {"alpha": math.inf}],
+    [
+        {"h": math.nan}, {"T": math.inf}, {"T": math.nan}, {"alpha": math.nan}, {"alpha": math.inf},
+        # a record count that is not a whole number >= 1, a non-finite switch
+        {"record_every": 0}, {"record_every": -1}, {"record_every": 2.0},
+        {"switch_times": (math.nan,)}, {"switch_times": (0.5, math.inf)},
+    ],
 )
 def test_integrate_rejects_non_finite_input(kwargs):
     args = {"alpha": 1.0, "T": 1.0, "h": 1e-3, **kwargs}
+    alpha, T, h = args.pop("alpha"), args.pop("T"), args.pop("h")
     with pytest.raises(DomainError):
-        integrate(SOURCE, lambda t: (1.0, 0.0), args["alpha"], args["T"], args["h"])
+        integrate(SOURCE, lambda t: (1.0, 0.0), alpha, T, h, **args)
 
 
 @pytest.mark.parametrize(

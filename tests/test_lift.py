@@ -183,6 +183,16 @@ def test_simulate_complex_rejects_bad_input(alpha, T, h):
         simulate_complex(PSI0, zero, zero, SPEC, alpha, T, h)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"record_every": 0}, {"record_every": -1}, {"switch_times": (0.5, math.nan)}],
+)
+def test_simulate_complex_rejects_a_bad_record_count_or_switch_time(kwargs):
+    zero = lambda t: 0.0j
+    with pytest.raises(DomainError):
+        simulate_complex(PSI0, zero, zero, SPEC, 1.0, 1.0, 1e-3, **kwargs)
+
+
 def test_samples_record_pulse_modulus_at_sample_time():
     ramp = lambda t: 0.1 * t * cmath.exp(2j * t)
     traj = simulate_complex(PSI0, ramp, ramp, SPEC, 1.0, 1.0, 1e-2, record_every=7)

@@ -29,7 +29,7 @@ from qoct import (
 )
 from qoct.acceptance import _first_v1_zero, solved_m3
 from qoct.elliptic import complete_k_comp
-from qoct.errors import RegimeError
+from qoct.errors import HorizonError, RegimeError
 from qoct.integrator import first_exit
 from qoct import min_energy
 from qoct.min_energy import _horizon, extremal_control_bulk
@@ -111,6 +111,12 @@ def test_transfer_time_isotropic_value():
 def test_transfer_time_matches_v1_zero():
     assert abs(transfer_time(0.9, 0.7) - _first_v1_zero(0.9, 0.7)) < 1e-8
     assert abs(transfer_time(2.0, 0.4) - _first_v1_zero(2.0, 0.4)) < 1e-7
+
+
+def test_first_v1_zero_raises_horizon_error_when_v1_never_vanishes():
+    # a sub-critical extremal below one: v1 keeps its sign for all time
+    with pytest.raises(HorizonError, match="no v1 zero"):
+        _first_v1_zero(0.5, 0.5)
 
 
 def test_transfer_time_regime_errors():

@@ -5,7 +5,8 @@ reference, the block draw, memory and input guards.
 ``data/make_pulse_search.py`` once each hit was decided by one rule, at the
 analytic psi3 peak or the arc end.  The answers must match to the last bit.
 For each answer that ends at a peak it also holds the exact peak time of the
-float sinusoid of the last arc, and the answer must lie within one ulp of it.
+float sinusoid of the last arc, and the answer must lie within the peak
+rule's rounding bound of it.
 """
 
 import json
@@ -39,13 +40,27 @@ def test_search_matches_golden(case):
     assert repr(sample_search_min_time(**case["kwargs"])) == case["answer"]
 
 
-def test_golden_peak_hits_lie_within_an_ulp_of_the_exact_peak():
+# the one recorded peak hit more than one ulp from its exact peak (1.33 ulps)
+_PAST_ONE_ULP = {"alpha": 0.6, "n_candidates": 700, "max_segments": 4, "seed": 5,
+                 "target_radius": 0.01}
+
+
+def test_golden_peak_hits_lie_within_the_rounding_bound_of_the_exact_peak():
+    # the search takes t = fl(phase / w).  If the wrapped arctan2 phase is
+    # within one ulp of exact, t lies within ulp(phase)/w + ulp(t)/2 of the
+    # exact peak; that exceeds one ulp of t when the phase sits in a higher
+    # binade than t.  All recorded hits but one lie within one ulp.
     peaks = [c for c in _golden_cases() if "peak" in c]
     assert len(peaks) >= 20
     for case in peaks:
-        _, segments = sample_search_min_time(**case["kwargs"])
-        t_hit = segments[-1][2]
-        assert abs(Decimal(t_hit) - Decimal(case["peak"])) <= Decimal(math.ulp(t_hit)), case
+        kwargs = case["kwargs"]
+        _, segments = sample_search_min_time(**kwargs)
+        u1, u2, t_hit = segments[-1]
+        w = math.sqrt(u1 * u1 + (kwargs["alpha"] * u2) ** 2)
+        miss = abs(Decimal(t_hit) - Decimal(case["peak"]))
+        bound = Decimal(math.ulp(w * t_hit)) / Decimal(w) + Decimal(math.ulp(t_hit)) / 2
+        assert miss <= bound, case
+        assert kwargs == _PAST_ONE_ULP or miss <= Decimal(math.ulp(t_hit)), case
 
 
 def test_golden_cases_straddle_a_block():
