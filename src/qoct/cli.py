@@ -72,7 +72,11 @@ def _write(text: str, out_path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise QoctError(f"cannot write {out_path}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")

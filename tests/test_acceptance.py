@@ -7,7 +7,9 @@ and asserts the outcome.
 
 import math
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qoct import acceptance
@@ -54,6 +56,45 @@ def test_a10_elapsed_time_ignores_a_wall_clock_jump(monkeypatch):
 def test_evaluate_derives_verdict_and_line_from_the_checks(checks, ok, line):
     result = acceptance.evaluate("A00", lambda fast: checks, True)
     assert (result.ok, result.detail, result.checks) == (ok, line, tuple(checks))
+
+
+@pytest.mark.parametrize(
+    "samples,ok,line",
+    [
+        ([1e-7, math.nan], False, "err nan (tol 1e-6)"),  # NaN is not dropped as a worst
+        ([], False, "err nan (tol 1e-6)"),  # no sample certifies nothing
+        ([0.0, 3e-7, 2e-7], True, "err 3.00e-07 (tol 1e-6)"),
+    ],
+)
+def test_evaluate_checks_the_worst_of_the_samples(samples, ok, line):
+    result = acceptance.evaluate("A00", lambda fast: [("err", samples, 1e-6)], True)
+    assert (result.ok, result.detail) == (ok, line)
+
+
+def test_a05_fails_on_a_nan_endpoint(monkeypatch):
+    endpoint = acceptance.transfer_endpoint
+    monkeypatch.setattr(
+        acceptance,
+        "transfer_endpoint",
+        lambda alpha, m3: np.full(3, np.nan) if alpha == 2.0 else endpoint(alpha, m3),
+    )
+    result = acceptance.evaluate("A05", acceptance.criterion_05, True)
+    assert not result.ok
+    assert "worst endpoint miss nan (tol 1e-6)" in result.detail
+
+
+def test_a11_fails_on_a_nan_mismatch_in_its_energy_case(monkeypatch):
+    # the energy case alone compares against an integrated reference
+    integrate = acceptance.integrate
+
+    def nan_reference(*args, **kwargs):
+        ref = integrate(*args, **kwargs)
+        return SimpleNamespace(times=ref.times, states=np.full_like(ref.states, np.nan))
+
+    monkeypatch.setattr(acceptance, "integrate", nan_reference)
+    result = acceptance.evaluate("A11", acceptance.criterion_11, True)
+    assert not result.ok
+    assert "worst population mismatch nan (tol 1e-5)" in result.detail
 
 
 def test_a_check_over_its_bound_or_a_raise_fails_verify(monkeypatch, capsys):

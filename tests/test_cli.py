@@ -127,6 +127,21 @@ def test_lift_json(capsys, tmp_path):
     assert np.allclose(tab[:, 1:].sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["min-time", "--alpha", "1", "--out"],
+        ["lift", "--alpha", "1", "--mode", "time", "--energies=-1,0.3,0.7", "--trajectory-out"],
+    ],
+    ids=["out", "trajectory-out"],
+)
+def test_an_unwritable_output_path_is_a_domain_error(args, tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    assert main(args + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_verify_exit_codes(monkeypatch, capsys):
     ok = [CriterionResult("A01-x", True, "fine")]
     monkeypatch.setattr(qoct.acceptance, "run_all", lambda fast=False: ok)
