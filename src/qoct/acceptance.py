@@ -398,7 +398,7 @@ def _lift_case(alpha: float, mode: str, h: float = 1e-3):
         h,
         switch_times=switches,
         record_every=25,
-        bulk_control=None if bulk is None else lift_controls_bulk(bulk, spec),
+        bulk_control=lift_controls_bulk(bulk, spec),
     )
     pops = np.abs(traj.states) ** 2
     mismatch = [np.abs(p - real_state(t) ** 2) for t, p in zip(traj.times.tolist(), pops)]

@@ -199,7 +199,7 @@ def _cmd_lift(args) -> int:
     traj = simulate_complex(
         psi0, f1, f2, spec, args.alpha, T, args.h, switch_times=switches,
         record_every=max(1, math.ceil(T / args.h / 400)),
-        bulk_control=None if bulk is None else lift_controls_bulk(bulk, spec),
+        bulk_control=lift_controls_bulk(bulk, spec),
     )
     final_population = float(np.abs(traj.endpoint[2]) ** 2)
     traj_file = None

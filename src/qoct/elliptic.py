@@ -22,15 +22,15 @@ of one step and the first stage of the next ask for the same argument, and
 an equal ``(u, k)`` returns the stored tuple.  The AGM chains of the two
 Jacobi kernels are kept per modulus in a bounded table.
 
-``sncndn_bulk`` is its array twin for moduli in the Landen range, used where
-a whole grid of arguments is known at once.  It equals ``sncndn`` element by
-element, bit for bit, by construction: the sines and cosines come from the
-same ``math`` functions, called per element, and numpy does only the
-correctly rounded ``+ - * /`` and ``sqrt`` of the scalar path, in its order
-(and the exact ``copysign`` for its sign test).
-numpy's own transcendental ufuncs are not used: they are not required to
-match ``math`` (``np.tanh`` and ``np.cosh`` differ from it on 20 % and 24 %
-of uniform arguments in [-20, 20], numpy 2.4 on x86-64).
+``sncndn_bulk`` is its array twin for every modulus, used where a whole grid
+of arguments is known at once.  It takes the same branches and equals
+``sncndn`` element by element, bit for bit, by construction: the sines,
+cosines and hyperbolic functions come from the same ``math`` functions,
+called per element, and numpy does only the correctly rounded ``+ - * /``
+and ``sqrt`` of the scalar path, in its order (and the exact ``copysign``
+for its sign test).  numpy's own transcendental ufuncs are not used: they
+are not required to match ``math`` (``np.tanh`` and ``np.cosh`` differ from
+it on 20 % and 24 % of uniform arguments in [-20, 20], numpy 2.4 on x86-64).
 """
 
 from __future__ import annotations
@@ -168,37 +168,33 @@ def sncndn(u: float, k: float) -> tuple[float, float, float]:
     return last
 
 
-def landen_range(k: float) -> bool:
-    """Whether ``sncndn`` evaluates modulus k by the Landen recurrence.
-
-    Outside it (k within ``ELLIPTIC_DEGENERATE`` of 0, or within
-    ``ELLIPTIC_DEGENERATE_ONE`` of 1, or not a modulus at all) the scalar
-    kernel takes the trigonometric or hyperbolic closed forms, which
-    ``sncndn_bulk`` does not serve.
-    """
-    return _DEGENERATE <= k and 1.0 - k >= _DEGENERATE_ONE
-
-
 def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``sncndn`` over a 1-d array of arguments, equal to it bit for bit.
 
     Args:
         u: 1-d array of finite real arguments.
-        k: modulus in the Landen range (``landen_range(k)``).
+        k: modulus, 0 <= k <= 1.
 
     Returns:
         Three float arrays (sn, cn, dn), each element equal to
-        ``sncndn(u[i], k)``.
+        ``sncndn(u[i], k)`` and taken by the same branch.
     """
-    if not landen_range(k):
-        raise DomainError(f"sncndn_bulk requires a Landen-range modulus, got {k!r}")
+    if not (0.0 <= k <= 1.0):
+        raise DomainError(f"Jacobi functions require 0 <= k <= 1, got {k!r}")
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise DomainError("Jacobi function arguments must be finite")
+    if k < _DEGENERATE:
+        args = u.tolist()
+        return _map(sin, args), _map(cos, args), np.ones(len(args))
+    if 1.0 - k < _DEGENERATE_ONE:
+        args = u.tolist()
+        sech = 1.0 / _map(cosh, args)
+        return _map(tanh, args), sech, sech
     scale, chain = _landen_chain(k)
     phase = (u * scale).tolist()
-    sin_phase = np.fromiter(map(sin, phase), float, len(phase))
-    cn = np.fromiter(map(cos, phase), float, len(phase))
+    sin_phase = _map(sin, phase)
+    cn = _map(cos, phase)
     small = np.abs(sin_phase) < _SN_FLOOR
     if small.any():
         # sn = u and cn = dn = 1 there, as in the scalar kernel; the
@@ -207,6 +203,11 @@ def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sn, cn, dn = _landen_bulk(sin_phase, cn, scale, chain)
         return np.where(small, u, sn), np.where(small, 1.0, cn), np.where(small, 1.0, dn)
     return _landen_bulk(sin_phase, cn, scale, chain)
+
+
+def _map(f, xs: list) -> np.ndarray:
+    """The ``math`` function f of each float of xs, as a float array."""
+    return np.fromiter(map(f, xs), float, len(xs))
 
 
 def _landen_bulk(sin_phase, cos_phase, scale, chain):

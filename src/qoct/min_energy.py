@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from .elliptic import complete_k_comp, landen_range, sncndn, sncndn_bulk
+from .elliptic import complete_k_comp, sncndn, sncndn_bulk
 from .errors import BracketError, DomainError, RegimeError, require, require_count
 from .integrator import ExitFace, Trajectory, first_exit, integrate
 from .oracle import quadrature
@@ -68,10 +68,16 @@ def classify(alpha: float, m3_0: float) -> Regime:
 
 @dataclass(frozen=True)
 class EnergyExtremal:
-    """An energy extremal indexed by (alpha, m3(0))."""
+    """An energy extremal indexed by (alpha, m3(0)), with the regime, the elliptic
+    modulus k, its complement k' = sqrt(1 - k^2) and the argument rate (controls
+    are evaluated at rate * t) that follow from them."""
 
     alpha: float
     m3_0: float
+    regime: Regime = field(init=False)
+    modulus: float = field(init=False)
+    comodulus: float = field(init=False)
+    rate: float = field(init=False)
 
     def __post_init__(self):
         regime = classify(self.alpha, self.m3_0)
@@ -84,9 +90,9 @@ class EnergyExtremal:
             k = a * m / math.sqrt(1.0 - a * a)
             kp = math.sqrt((mc - m) * (mc + m)) / mc
             rate = math.sqrt(1.0 - a * a)
-        elif regime is Regime.CRITICAL:
+        elif regime is Regime.CRITICAL:  # only for alpha <= 1
             k, kp = 1.0, 0.0
-            rate = math.sqrt(max(1.0 - a * a, 0.0))
+            rate = math.sqrt(1.0 - a * a)
         elif regime is Regime.SUPER_CRITICAL:
             mc = math.sqrt(1.0 - a * a) / a
             k = math.sqrt(1.0 - a * a) / (a * m)
@@ -100,34 +106,15 @@ class EnergyExtremal:
         else:
             k, kp = 0.0, 1.0
             rate = 0.0
-        object.__setattr__(self, "_regime", regime)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_kp", kp)
-        object.__setattr__(self, "_rate", rate)
-
-    @property
-    def regime(self) -> Regime:
-        return self._regime
-
-    @property
-    def modulus(self) -> float:
-        """Elliptic modulus of the control closed forms."""
-        return self._k
-
-    @property
-    def comodulus(self) -> float:
-        """Complementary modulus sqrt(1 - k^2), computed cancellation-free."""
-        return self._kp
-
-    @property
-    def rate(self) -> float:
-        """Argument rate: controls are evaluated at rate * t."""
-        return self._rate
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "modulus", k)
+        object.__setattr__(self, "comodulus", kp)
+        object.__setattr__(self, "rate", rate)
 
     @property
     def half_period(self) -> float:
         """Half period of v1, past which v1 stops decreasing (inf if aperiodic)."""
-        if self._regime is Regime.SUB_CRITICAL:
+        if self.regime is Regime.SUB_CRITICAL:
             return self._quarter_period  # dn has period 2K
         return 2.0 * self._quarter_period  # cn and cd have period 4K
 
@@ -138,9 +125,9 @@ class EnergyExtremal:
         K is evaluated through the complementary modulus, which survives
         where k itself rounds to one; inf also where k' underflows to 0.
         """
-        if self._regime in (Regime.ZERO, Regime.CRITICAL) or self._kp <= 0.0:
+        if self.regime in (Regime.ZERO, Regime.CRITICAL) or self.comodulus <= 0.0:
             return math.inf
-        return complete_k_comp(self._kp) / self._rate
+        return complete_k_comp(self.comodulus) / self.rate
 
 
 @dataclass(frozen=True)
@@ -165,8 +152,8 @@ def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
     """Evaluate the closed-form extremal controls at a finite time t.
 
     The zero and critical regimes take the sub-critical ``dn`` form at
-    modulus 0 and 1, where ``sncndn`` is exactly (sin, cos, 1) and
-    (tanh, sech, sech).
+    modulus 0 and 1, where ``sncndn`` and ``sncndn_bulk`` are exactly
+    (sin, cos, 1) and (tanh, sech, sech).
     """
     if not math.isfinite(t):
         raise DomainError(f"time t must be finite, got {t!r}")
@@ -222,13 +209,8 @@ def extremal_control(e: EnergyExtremal):
 
 
 def extremal_control_bulk(e: EnergyExtremal):
-    """Array twin of ``extremal_control``: ts -> (u1s, u2s), or None.
-
-    The same closure over ``sncndn_bulk``, which serves moduli in the Landen
-    range; degenerate moduli, among them the zero regime's 0 and the
-    critical regime's 1, get None, and their callers keep the scalar closure.
-    """
-    return _regime_control(e, sncndn_bulk) if landen_range(e.modulus) else None
+    """Array twin of ``extremal_control`` over ``sncndn_bulk``, equal to it bit for bit."""
+    return _regime_control(e, sncndn_bulk)
 
 
 def transfer_time(alpha: float, m3_0: float) -> float:

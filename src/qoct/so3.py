@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError
+from .errors import DomainError, require
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,9 @@ def generator(u1: float, u2: float, alpha: float) -> SkewGenerator:
         The skew matrix with (2,1)-entry ``u1`` and (3,2)-entry ``alpha*u2``.
 
     Raises:
-        DomainError: when either entry is not finite.
+        DomainError: unless alpha is finite and positive and both entries finite.
     """
+    require("nonisotropy factor", alpha)
     m1, m2 = float(u1), float(alpha) * float(u2)
     if not (math.isfinite(m1) and math.isfinite(m2)):
         raise DomainError(f"generator entries must be finite, got u1={m1!r}, alpha*u2={m2!r}")
@@ -178,8 +179,13 @@ def arc_form(g: SkewGenerator, p: np.ndarray) -> tuple:
     for vectors A (the centre, on the axis), B and C, and per component i
     its row (a0, r, phi) = (A[i], hypot(B[i], C[i]), atan2(C[i], B[i])), so
     that component is a0 + r*cos(w t - phi).
+
+    Raises:
+        DomainError: when the rate is not positive (the circle is a point).
     """
     w = g.rate
+    if not w > 0.0:
+        raise DomainError(f"the circle of an arc needs a positive rate, got {w!r}")
     gp = g.apply(p)
     ggp = g.apply(gp) / (w * w)
     A, B, C = p + ggp, -ggp, gp / w

@@ -106,6 +106,10 @@ class SwitchingState:
     phi2: float
     phi3: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.phi1, self.phi2, self.phi3))):
+            raise DomainError(f"switching values must be finite, got {self!r}")
+
     def as_array(self) -> np.ndarray:
         return np.array([self.phi1, self.phi2, self.phi3])
 
@@ -175,9 +179,11 @@ def switching_propagator(u1: float, u2: float, alpha: float, t: float) -> np.nda
     with constant controls.
 
     Raises:
-        DomainError: for the degenerate input u1 = u2 = 0, or when alpha^2,
-            the squared rate w^2 or the angle w*t is not finite.
+        DomainError: when alpha is not finite and positive, for the
+            degenerate input u1 = u2 = 0, or when alpha^2, the squared rate
+            w^2 or the angle w*t is not finite.
     """
+    require("nonisotropy factor", alpha)
     a2 = alpha * alpha
     w2 = u1 * u1 + a2 * u2 * u2
     if not (math.isfinite(a2) and math.isfinite(w2) and math.isfinite(math.sqrt(w2) * t)):

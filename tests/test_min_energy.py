@@ -382,33 +382,33 @@ def test_zero_and_critical_controls_keep_their_closed_forms(alpha, m3, regime):
         (0.999, 0.9, Regime.SUPER_CRITICAL),
         (2.0, 0.3, Regime.ALPHA_ABOVE_ONE),
         (2.0, 0.02, Regime.ALPHA_ABOVE_ONE),
-    ],
-)
-def test_bulk_extremal_control_matches_the_closure_bit_for_bit(alpha, m3, regime):
-    e = EnergyExtremal(alpha, m3)
-    assert e.regime is regime
-    ctrl, bulk = extremal_control(e), extremal_control_bulk(e)
-    ts = np.concatenate(([0.0, 1e-300], np.random.default_rng(5).uniform(0.0, 40.0, 1500)))
-    u1s, u2s = bulk(ts)
-    for t, u1, u2 in zip(ts.tolist(), u1s, u2s):
-        assert _bits((u1, u2)) == _bits(ctrl(t))
-
-
-@pytest.mark.parametrize(
-    "alpha, m3, regime",
-    [
+        # the zero and critical regimes, moduli within the kernel's closed-form
+        # windows of 0 and 1, and the solved alpha = 1 extremal (modulus 0)
         (0.5, 0.0, Regime.ZERO),
         (0.5, math.sqrt(0.75) / 0.5, Regime.CRITICAL),
         (0.5, 1e-12, Regime.SUB_CRITICAL),  # k below ELLIPTIC_DEGENERATE
         (0.5, 1e12, Regime.SUPER_CRITICAL),  # k below ELLIPTIC_DEGENERATE
         (1.0, 0.9, Regime.SUPER_CRITICAL),  # k = 0: trigonometric controls
         (2.0, 1e-9, Regime.ALPHA_ABOVE_ONE),  # 1 - k below ELLIPTIC_DEGENERATE_ONE
+        (1.0, None, Regime.SUPER_CRITICAL),  # solved
     ],
 )
-def test_no_bulk_extremal_control_outside_the_landen_regimes(alpha, m3, regime):
+def test_bulk_extremal_control_matches_the_closure_bit_for_bit(alpha, m3, regime):
+    if m3 is None:
+        m3 = solved_m3(alpha)
     e = EnergyExtremal(alpha, m3)
     assert e.regime is regime
-    assert extremal_control_bulk(e) is None
+    ctrl, bulk = extremal_control(e), extremal_control_bulk(e)
+    ts = np.concatenate(([0.0, 1e-300], np.random.default_rng(5).uniform(0.0, 40.0, 1500),
+                         np.linspace(0.0, 40.0, 4001)))
+    u1s, u2s = bulk(ts)
+    for t, u1, u2 in zip(ts.tolist(), u1s, u2s):
+        assert _bits((u1, u2)) == _bits(ctrl(t))
+    want = integrate(SOURCE, ctrl, alpha, 1.5, 1e-3, record_every=7)
+    got = integrate(SOURCE, ctrl, alpha, 1.5, 1e-3, record_every=7, bulk_control=bulk)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.u1.tobytes() == want.u1.tobytes() and got.u2.tobytes() == want.u2.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -542,7 +542,7 @@ def test_a_zero_comodulus_gives_infinite_periods(alpha, m3):
     # k' = 0 is out of reach of the constructor outside the critical window;
     # set it by hand before the quarter period is first read
     e = EnergyExtremal(alpha, m3)
-    object.__setattr__(e, "_kp", 0.0)
+    object.__setattr__(e, "comodulus", 0.0)
     assert e._quarter_period == math.inf
     assert e.half_period == math.inf
     assert _horizon(e).hex() == _parent_horizon(e).hex()

@@ -171,6 +171,24 @@ def test_non_finite_input_raises_domain_error(call):
             NON_FINITE_CALLS[call]()
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.0, -2.0])
+def test_non_positive_factor_raises_domain_error(alpha):
+    # the factor is checked as t_alpha, delta_* and f2 check it, not only
+    # for finiteness
+    with pytest.raises(DomainError):
+        generator(1.0, 1.0, alpha)
+    with pytest.raises(DomainError):
+        switching_propagator(1.0, 1.0, alpha, 1.0)
+
+
+def test_arc_form_refuses_a_generator_of_rate_zero():
+    # the circle degenerates to the point itself; no NaN vectors, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            arc_form(generator(0.0, 0.0, 1.0), np.array([1.0, 0.0, 0.0]))
+
+
 def _signed_decades(lo: int, hi: int):
     """Zero, or +-10**e with e uniform on [lo, hi]."""
     mag = st.floats(lo, hi).map(lambda e: 10.0**e)

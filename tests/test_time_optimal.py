@@ -117,6 +117,15 @@ def test_propagator_quadratic_form_conserved_on_double_bangs():
         assert abs(phi.quadratic_invariant(alpha) - q0) < 1e-12 * max(1.0, q0)
 
 
+@pytest.mark.parametrize("phi", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
+def test_switching_state_refuses_non_finite_components(phi):
+    # a NaN state used to evolve into an all-NaN one with a NaN invariant
+    with pytest.raises(DomainError):
+        SwitchingState(*phi)
+    with pytest.raises(DomainError):
+        SwitchingState.from_array(np.array(phi))
+
+
 def test_double_bang_extremal_duration():
     assert abs(t_alpha(1.0) - math.pi / math.sqrt(2.0)) < 1e-15
     assert abs(t_alpha(0.5) - math.acos(-0.25) / math.sqrt(1.25)) < 1e-15
