@@ -26,7 +26,6 @@ from .lift import (
     LevelSpec,
     interaction_picture,
     lift_controls,
-    lift_controls_bulk,
     simulate_complex,
 )
 from .min_energy import (

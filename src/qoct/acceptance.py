@@ -23,7 +23,7 @@ from . import tolerances as tols
 from .elliptic import complete_k, sncndn
 from .errors import HorizonError
 from .integrator import integrate
-from .lift import ComplexState, LevelSpec, lift_controls, lift_controls_bulk, simulate_complex
+from .lift import ComplexState, LevelSpec, simulate_complex
 from .min_energy import (
     EnergyExtremal,
     classify,
@@ -387,18 +387,16 @@ def _lift_case(alpha: float, mode: str, h: float = 1e-3):
         def real_state(t):
             return ref.states[int(np.argmin(np.abs(ref.times - t)))]
 
-    f1, f2 = lift_controls(ctrl, spec)
     traj = simulate_complex(
         ComplexState(np.array([1.0 + 0.0j, 0.0j, 0.0j])),
-        f1,
-        f2,
+        ctrl,
+        bulk,
         spec,
         alpha,
         T,
         h,
         switch_times=switches,
         record_every=25,
-        bulk_control=lift_controls_bulk(bulk, spec),
     )
     pops = np.abs(traj.states) ** 2
     mismatch = [np.abs(p - real_state(t) ** 2) for t, p in zip(traj.times.tolist(), pops)]

@@ -18,7 +18,7 @@ import numpy as np
 from . import acceptance
 from . import tolerances as tol
 from .errors import QoctError, require
-from .lift import ComplexState, LevelSpec, lift_controls, lift_controls_bulk, simulate_complex
+from .lift import ComplexState, LevelSpec, simulate_complex
 from .min_energy import (
     EnergyExtremal,
     classify,
@@ -194,12 +194,10 @@ def _cmd_lift(args) -> int:
         ctrl, bulk = extremal_control(extremal), extremal_control_bulk(extremal)
         T = transfer_time(args.alpha, m3)
         switches = ()
-    f1, f2 = lift_controls(ctrl, spec)
     psi0 = ComplexState(np.array([1.0 + 0.0j, 0.0j, 0.0j]))
     traj = simulate_complex(
-        psi0, f1, f2, spec, args.alpha, T, args.h, switch_times=switches,
+        psi0, ctrl, bulk, spec, args.alpha, T, args.h, switch_times=switches,
         record_every=max(1, math.ceil(T / args.h / 400)),
-        bulk_control=lift_controls_bulk(bulk, spec),
     )
     final_population = float(np.abs(traj.endpoint[2]) ** 2)
     traj_file = None

@@ -36,7 +36,7 @@ it on 20 % and 24 % of uniform arguments in [-20, 20], numpy 2.4 on x86-64).
 from __future__ import annotations
 
 import math
-from math import cos, cosh, isfinite, sin, sqrt, tanh
+from math import cos, cosh, exp, isfinite, sin, sqrt, tanh
 
 import numpy as np
 
@@ -139,7 +139,7 @@ def sncndn(u: float, k: float) -> tuple[float, float, float]:
     if k < _DEGENERATE:
         return sin(u), cos(u), 1.0
     if 1.0 - k < _DEGENERATE_ONE:
-        sech = 1.0 / cosh(u)
+        sech = _sech(u)
         return tanh(u), sech, sech
 
     entry = _CHAINS.get(k)
@@ -181,7 +181,13 @@ def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not (0.0 <= k <= 1.0):
         raise DomainError(f"Jacobi functions require 0 <= k <= 1, got {k!r}")
-    u = np.asarray(u, dtype=float)
+    try:
+        u = np.asarray(u)
+    except ValueError:  # a ragged nesting
+        u = None
+    if u is None or u.ndim != 1 or u.dtype.kind not in "iuf":
+        raise DomainError("Jacobi function arguments must be a 1-d array of reals")
+    u = u.astype(float, copy=False)
     if not np.isfinite(u).all():
         raise DomainError("Jacobi function arguments must be finite")
     if k < _DEGENERATE:
@@ -189,7 +195,7 @@ def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _map(sin, args), _map(cos, args), np.ones(len(args))
     if 1.0 - k < _DEGENERATE_ONE:
         args = u.tolist()
-        sech = 1.0 / _map(cosh, args)
+        sech = _map(_sech, args)
         return _map(tanh, args), sech, sech
     scale, chain = _landen_chain(k)
     phase = (u * scale).tolist()
@@ -203,6 +209,15 @@ def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sn, cn, dn = _landen_bulk(sin_phase, cn, scale, chain)
         return np.where(small, u, sn), np.where(small, 1.0, cn), np.where(small, 1.0, dn)
     return _landen_bulk(sin_phase, cn, scale, chain)
+
+
+def _sech(u: float) -> float:
+    """1 / cosh(u); past the overflow of cosh, near |u| = 710.48, it is
+    2 exp(-|u|), which is sech to double precision there."""
+    try:
+        return 1.0 / cosh(u)
+    except OverflowError:
+        return 2.0 * exp(-abs(u))
 
 
 def _map(f, xs: list) -> np.ndarray:

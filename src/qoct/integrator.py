@@ -216,7 +216,8 @@ def propagate(
 
     Args:
         state: initial 3-tuple of floats or complex amplitudes, unit norm.
-        control: callable t -> (c1, c2); piecewise smooth.
+        control: callable t -> (c1, c2); piecewise smooth.  Read only
+            without ``bulk_control`` (``qoct.lift`` passes None).
         rhs: callable (x, y, z, c1, c2) -> the state derivative.
         T: final time (>= 0).
         h: nominal step; each subinterval between switch times uses the

@@ -22,7 +22,7 @@ from .integrator import Trajectory, propagate
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """Level energies (hbar = 1) and the two laser phases in [-pi, pi]."""
+    """Level energies (hbar = 1) and the two laser phases, any finite reals."""
 
     e1: float
     e2: float
@@ -59,45 +59,23 @@ class ComplexState:
         return np.abs(self.amplitudes) ** 2
 
 
-def lift_controls(control, spec: LevelSpec):
-    """Resonant complex pulses from a real control law.
-
-    Args:
-        control: callable t -> (u1, u2), the real control values.
-        spec: level energies and phases.
-
-    Returns:
-        (F1, F2): callables t -> complex pulse, with |Fj(t)| = |uj(t)|.
-    """
-    w1 = spec.e2 - spec.e1
-    w2 = spec.e3 - spec.e2
-
-    def f1(t):
-        return control(t)[0] * cmath.exp(1j * (w1 * t + spec.xi1))
-
-    def f2(t):
-        return control(t)[1] * cmath.exp(1j * (w2 * t + spec.xi2))
-
-    return f1, f2
-
-
 def _phasors(phase: np.ndarray) -> np.ndarray:
     """``cmath.exp(1j * p)`` for each element p of a float array."""
     z = (1j * phase).tolist()
     return np.fromiter(map(cmath.exp, z), complex, len(z))
 
 
-def lift_controls_bulk(bulk_control, spec: LevelSpec):
-    """Array twin of ``lift_controls``: ts -> (F1s, F2s) complex arrays.
+def lift_controls(bulk_control, spec: LevelSpec):
+    """Resonant complex pulses from a real control law: ts -> (F1s, F2s).
 
     Args:
         bulk_control: function ts -> (u1s, u2s) of a 1-d float array.
         spec: level energies and phases.
 
-    Each element equals the scalar pulse at that time, bit for bit: the
-    phases are the same float products and sums, their exponentials come
-    from ``cmath.exp`` per element, and numpy multiplies a real by a complex
-    number as Python does, (u + 0j) * z.
+    Fj(t) = uj(t) * exp(i (wj t + xij)), wj the gap that control j couples,
+    as Python forms it element by element: the exponentials come from
+    ``cmath.exp``, and numpy multiplies a real by a complex number as Python
+    does, (u + 0j) * z.
     """
     w1 = spec.e2 - spec.e1
     w2 = spec.e3 - spec.e2
@@ -124,23 +102,24 @@ def _schrodinger_rhs(spec: LevelSpec, alpha: float):
 
 def simulate_complex(
     psi0: ComplexState,
-    f1,
-    f2,
+    control,
+    bulk_control,
     spec: LevelSpec,
     alpha: float,
     T: float,
     h: float,
     switch_times=(),
     record_every: int = 1,
-    bulk_control=None,
 ) -> Trajectory:
-    """RK4 integration of the driven three-level Schroedinger equation.
+    """RK4 integration of the three-level Schroedinger equation driven by
+    the resonant pulses of a real control law.
 
     The same renormalized RK4 as ``integrate``: the norm is rescaled to one
     after every step, and steps never straddle a control switching time
-    passed in ``switch_times``.  Samples record |f1(t)| and |f2(t)|.  With
-    ``bulk_control``, ts -> (F1s, F2s) as from ``lift_controls_bulk``, the
-    steps read their pulses from it (see ``integrator.propagate``).
+    passed in ``switch_times``.  The steps read their pulses from
+    ``lift_controls(bulk_control, spec)`` (see ``integrator.propagate``);
+    ``control``, t -> (u1, u2) and equal to ``bulk_control`` element by
+    element, gives the recorded |u1(t)| and |u2(t)|, the pulse moduli.
 
     Returns:
         Trajectory of complex state samples; the final population of level
@@ -149,17 +128,17 @@ def simulate_complex(
     require("nonisotropy factor", alpha)
     records = propagate(
         tuple(complex(z) for z in psi0.amplitudes),
-        lambda t: (f1(t), f2(t)),
+        None,
         _schrodinger_rhs(spec, alpha),
         T,
         h,
         switch_times,
         record_every,
-        bulk_control,
+        lift_controls(bulk_control, spec),
     )
     ts, states = zip(*records)
-    u1, u2 = zip(*[(abs(f1(t)), abs(f2(t))) for t in ts])
-    return Trajectory(ts, states, u1, u2)
+    u1, u2 = zip(*map(control, ts))
+    return Trajectory(ts, states, np.abs(u1), np.abs(u2))
 
 
 def interaction_picture(traj: Trajectory, spec: LevelSpec) -> Trajectory:

@@ -11,6 +11,7 @@ from qoct import DomainError, complete_k, sncndn
 from qoct import elliptic
 from qoct import tolerances as tol
 from qoct.elliptic import _agm, complete_k_comp
+from qoct.min_energy import EnergyExtremal, controls_at
 from qoct.oracle import bisect_root, quadrature
 
 # moduli covering every branch of sncndn: trigonometric (k = 0 and below
@@ -262,3 +263,27 @@ def test_bulk_kernel_rejects_non_moduli(k):
 def test_bulk_kernel_rejects_non_finite_arguments(u):
     with pytest.raises(DomainError):
         elliptic.sncndn_bulk(np.array([0.5, u]), 0.5)
+
+
+@pytest.mark.parametrize("u", [0.5, [[0.5, 0.6]], ["a"], [1j], [None], [True], [[1.0], [1.0, 2.0]]])
+def test_bulk_kernel_refuses_anything_but_a_1d_real_array(u):
+    with pytest.raises(DomainError, match="1-d array of reals"):
+        elliptic.sncndn_bulk(u, 0.5)
+
+
+@pytest.mark.parametrize("k", [1.0 - 2.0**-53, 1.0])
+def test_hyperbolic_forms_stay_finite_where_cosh_overflows(k):
+    # cosh overflows past |u| ~ 710.48; sech is 2 exp(-|u|) to double
+    # precision there, and 0 once that underflows
+    far = (710.0, -710.0, 710.5, -711.0, 745.0, 800.0, -1e300)
+    for u in far:
+        sn, cn, dn = sncndn(u, k)
+        assert sn == math.copysign(1.0, u) and cn == dn
+        assert cn == (1.0 / math.cosh(u) if abs(u) < 710.4 else 2.0 * math.exp(-abs(u)))
+    assert sncndn(800.0, k) == (1.0, 0.0, 0.0)
+    got = elliptic.sncndn_bulk(np.array(far), k)
+    for i, u in enumerate(far):
+        assert bits(v[i] for v in got) == bits(sncndn(u, k))
+    # a critical extremal (modulus 1) read far out
+    e = EnergyExtremal(0.5, math.sqrt(0.75) / 0.5)
+    assert e.modulus == 1.0 and math.isfinite(controls_at(e, 1000.0).v2)

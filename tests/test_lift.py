@@ -17,7 +17,6 @@ from qoct import (
     StepError,
     interaction_picture,
     lift_controls,
-    lift_controls_bulk,
     min_time_law,
     simulate_complex,
 )
@@ -27,40 +26,45 @@ from qoct.min_energy import (
     extremal_control_bulk,
     transfer_time,
 )
-from qoct.integrator import integrate
+from qoct.integrator import integrate, propagate
+from qoct.lift import _schrodinger_rhs
 from qoct.time_optimal import law_state
 
 SPEC = LevelSpec(-1.0, 0.3, 0.7, 0.0, 0.0)
 PSI0 = ComplexState(np.array([1.0 + 0.0j, 0.0j, 0.0j]))
 
+# real controls written once for a float t and a float array ts alike, so
+# each serves as the control and as its array twin
+zero = lambda t: (0.0 * t, 0.0 * t)
+unit = lambda t: (1.0 + 0.0 * t, 0.0 * t)
+wild = lambda t: (1e4 + 0.0 * t, 0.0 * t)
+ramp = lambda t: (0.1 * t - 0.05, 0.3 - 0.4 * t)  # both change sign
 
-def law_pulses(law, spec):
-    f1, f2 = lift_controls(law.control, spec)
-    return f1, f2, law.switch_times()
+
+def law_pulses(law):
+    return law.control, law.control_bulk, law.switch_times()
 
 
 def test_lifted_pulse_phases():
     spec = LevelSpec(0.0, 0.0, 0.5, 0.0, 0.0)
-    f1, _ = lift_controls(lambda t: (1.0, 0.0), spec)
-    for t in (0.0, 0.7, 2.0):
-        assert abs(f1(t) - 1.0) < 1e-15
+    f1s, _ = lift_controls(unit, spec)(np.array([0.0, 0.7, 2.0]))
+    assert np.max(np.abs(f1s - 1.0)) < 1e-15
     spec = LevelSpec(0.0, 1.0, 1.0, math.pi / 2.0, 0.0)
-    f1, _ = lift_controls(lambda t: (1.0, 0.0), spec)
-    assert abs(f1(math.pi) - cmath.exp(1j * 1.5 * math.pi)) < 1e-14
+    f1s, _ = lift_controls(unit, spec)(np.array([math.pi]))
+    assert abs(f1s[0] - cmath.exp(1j * 1.5 * math.pi)) < 1e-14
 
 
 def test_lifted_pulse_modulus_matches_amplitude():
     spec = LevelSpec(-0.4, 0.9, 1.3, 0.8, -0.2)
-    u1 = lambda t: math.cos(3 * t) * 0.7
-    u2 = lambda t: math.sin(2 * t)
-    f1, f2 = lift_controls(lambda t: (u1(t), u2(t)), spec)
-    for t in np.linspace(0, 3, 20):
-        assert abs(abs(f1(t)) - abs(u1(t))) < 1e-14
-        assert abs(abs(f2(t)) - abs(u2(t))) < 1e-14
+    wave = lambda t: (np.cos(3 * t) * 0.7, np.sin(2 * t))
+    ts = np.linspace(0, 3, 20)
+    f1s, f2s = lift_controls(wave, spec)(ts)
+    u1s, u2s = wave(ts)
+    assert np.max(np.abs(np.abs(f1s) - np.abs(u1s))) < 1e-14
+    assert np.max(np.abs(np.abs(f2s) - np.abs(u2s))) < 1e-14
 
 
 def test_free_evolution_keeps_populations():
-    zero = lambda t: 0.0 + 0.0j
     start = ComplexState(np.array([0.6 + 0.0j, 0.48j, 0.64 + 0.0j]))
     traj = simulate_complex(start, zero, zero, SPEC, 1.0, 3.0, 1e-3, record_every=100)
     pops0 = start.populations()
@@ -70,26 +74,28 @@ def test_free_evolution_keeps_populations():
 
 def test_min_time_transfer_survives_the_lift():
     law = min_time_law(1.0)
-    f1, f2, switches = law_pulses(law, SPEC)
+    ctrl, bulk, switches = law_pulses(law)
     traj = simulate_complex(
-        PSI0, f1, f2, SPEC, 1.0, law.total_duration, 1e-3, switch_times=switches
+        PSI0, ctrl, bulk, SPEC, 1.0, law.total_duration, 1e-3, switch_times=switches
     )
     assert abs(traj.endpoint[2]) ** 2 >= 1.0 - 1e-6
 
 
 def test_energy_transfer_survives_the_lift():
     alpha, m3 = 2.0, 0.09159664366351113
-    f1, f2 = lift_controls(extremal_control(EnergyExtremal(alpha, m3)), SPEC)
+    e = EnergyExtremal(alpha, m3)
     T = transfer_time(alpha, m3)
-    traj = simulate_complex(PSI0, f1, f2, SPEC, alpha, T, 1e-3)
+    traj = simulate_complex(
+        PSI0, extremal_control(e), extremal_control_bulk(e), SPEC, alpha, T, 1e-3
+    )
     assert abs(traj.endpoint[2]) ** 2 >= 1.0 - 1e-5
 
 
 def test_interaction_picture_recovers_bang_trajectory():
     law = min_time_law(0.5)
-    f1, f2, switches = law_pulses(law, SPEC)
+    ctrl, bulk, switches = law_pulses(law)
     traj = simulate_complex(
-        PSI0, f1, f2, SPEC, 0.5, law.total_duration, 1e-3,
+        PSI0, ctrl, bulk, SPEC, 0.5, law.total_duration, 1e-3,
         switch_times=switches, record_every=20,
     )
     real = interaction_picture(traj, SPEC)
@@ -99,10 +105,12 @@ def test_interaction_picture_recovers_bang_trajectory():
 
 def test_interaction_picture_recovers_energy_trajectory():
     m3 = 1.0 / math.sqrt(3.0)
-    ctrl = extremal_control(EnergyExtremal(1.0, m3))
+    e = EnergyExtremal(1.0, m3)
+    ctrl = extremal_control(e)
     T = transfer_time(1.0, m3)
-    f1, f2 = lift_controls(ctrl, SPEC)
-    traj = simulate_complex(PSI0, f1, f2, SPEC, 1.0, T, 1e-3, record_every=20)
+    traj = simulate_complex(
+        PSI0, ctrl, extremal_control_bulk(e), SPEC, 1.0, T, 1e-3, record_every=20
+    )
     real = interaction_picture(traj, SPEC)
     ref = integrate(SOURCE, ctrl, 1.0, T, 1e-3, record_every=20)
     assert np.allclose(real.times, ref.times)
@@ -119,9 +127,9 @@ def test_populations_independent_of_phases():
             float(rng.uniform(-math.pi, math.pi)),
             float(rng.uniform(-math.pi, math.pi)),
         )
-        f1, f2, switches = law_pulses(law, spec)
+        ctrl, bulk, switches = law_pulses(law)
         traj = simulate_complex(
-            PSI0, f1, f2, spec, 1.0, law.total_duration, 2e-3,
+            PSI0, ctrl, bulk, spec, 1.0, law.total_duration, 2e-3,
             switch_times=switches, record_every=50,
         )
         pops = np.abs(traj.states) ** 2
@@ -137,18 +145,18 @@ def test_random_energy_triples():
     for _ in range(5):
         energies = rng.uniform(-2.0, 2.0, size=3)
         spec = LevelSpec(*(float(e) for e in energies), 0.1, -0.4)
-        f1, f2, switches = law_pulses(law, spec)
+        ctrl, bulk, switches = law_pulses(law)
         traj = simulate_complex(
-            PSI0, f1, f2, spec, 2.0, law.total_duration, 1e-3, switch_times=switches
+            PSI0, ctrl, bulk, spec, 2.0, law.total_duration, 1e-3, switch_times=switches
         )
         assert abs(traj.endpoint[2]) ** 2 >= 1.0 - 1e-6
 
 
 def test_norm_conserved():
     law = min_time_law(0.5)
-    f1, f2, switches = law_pulses(law, SPEC)
+    ctrl, bulk, switches = law_pulses(law)
     traj = simulate_complex(
-        PSI0, f1, f2, SPEC, 0.5, law.total_duration, 1e-4,
+        PSI0, ctrl, bulk, SPEC, 0.5, law.total_duration, 1e-4,
         switch_times=switches, record_every=200,
     )
     for state in traj.states:
@@ -158,9 +166,9 @@ def test_norm_conserved():
 def test_wrong_phases_raise_consistency_error():
     spec = LevelSpec(-1.0, 0.3, 0.7, 0.9, -0.7)
     law = min_time_law(1.0)
-    f1, f2, switches = law_pulses(law, spec)
+    ctrl, bulk, switches = law_pulses(law)
     traj = simulate_complex(
-        PSI0, f1, f2, spec, 1.0, law.total_duration, 1e-3,
+        PSI0, ctrl, bulk, spec, 1.0, law.total_duration, 1e-3,
         switch_times=switches, record_every=50,
     )
     with pytest.raises(ConsistencyError):
@@ -170,7 +178,7 @@ def test_wrong_phases_raise_consistency_error():
 def test_step_error_on_wild_dynamics():
     # the complex path applies the same renormalization limit as the sphere
     with pytest.raises(StepError):
-        simulate_complex(PSI0, lambda t: 1e4, lambda t: 0.0, SPEC, 1.0, 1.0, 0.1)
+        simulate_complex(PSI0, wild, wild, SPEC, 1.0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +186,6 @@ def test_step_error_on_wild_dynamics():
     [(1.0, 1.0, math.nan), (1.0, math.inf, 1e-3), (math.nan, 1.0, 1e-3), (-1.0, 1.0, 1e-3)],
 )
 def test_simulate_complex_rejects_bad_input(alpha, T, h):
-    zero = lambda t: 0.0j
     with pytest.raises(DomainError):
         simulate_complex(PSI0, zero, zero, SPEC, alpha, T, h)
 
@@ -188,16 +195,21 @@ def test_simulate_complex_rejects_bad_input(alpha, T, h):
     [{"record_every": 0}, {"record_every": -1}, {"switch_times": (0.5, math.nan)}],
 )
 def test_simulate_complex_rejects_a_bad_record_count_or_switch_time(kwargs):
-    zero = lambda t: 0.0j
     with pytest.raises(DomainError):
         simulate_complex(PSI0, zero, zero, SPEC, 1.0, 1.0, 1e-3, **kwargs)
 
 
-def test_samples_record_pulse_modulus_at_sample_time():
-    ramp = lambda t: 0.1 * t * cmath.exp(2j * t)
-    traj = simulate_complex(PSI0, ramp, ramp, SPEC, 1.0, 1.0, 1e-2, record_every=7)
-    for t, u1, u2 in zip(traj.times.tolist(), traj.u1.tolist(), traj.u2.tolist()):
-        assert u1 == abs(ramp(t)) and u2 == abs(ramp(t))
+def test_samples_record_control_modulus_at_sample_time():
+    law = min_time_law(0.7)
+    cases = [
+        (ramp, ramp, (), 1.0),
+        (law.control, law.control_bulk, law.switch_times(), law.total_duration),
+    ]
+    for control, bulk, switches, T in cases:
+        traj = simulate_complex(PSI0, control, bulk, SPEC, 0.7, T, 1e-2, switches, 7)
+        for i, t in enumerate(traj.times.tolist()):
+            u1, u2 = control(t)
+            assert traj.u1[i] == abs(u1) and traj.u2[i] == abs(u2)
 
 
 def _complex_bits(values) -> list[tuple[str, str]]:
@@ -215,32 +227,46 @@ def _law_and_extremal_controls():
     }
 
 
+def _scalar_pulses(control, spec):
+    """The resonant pulses at one time t, as Python forms them."""
+    w1, w2 = spec.e2 - spec.e1, spec.e3 - spec.e2
+
+    def pulses(t):
+        u1, u2 = control(t)
+        return (u1 * cmath.exp(1j * (w1 * t + spec.xi1)),
+                u2 * cmath.exp(1j * (w2 * t + spec.xi2)))
+
+    return pulses
+
+
 @pytest.mark.parametrize("source", ["law", "extremal"])
 @pytest.mark.parametrize(
     "spec", [SPEC, LevelSpec(-1.0, 0.3, 0.7, 0.3, -1.0), LevelSpec(0.0, 0.0, 2.5, -3.0, 0.0)]
 )
-def test_bulk_pulses_match_the_scalar_pulses_bit_for_bit(source, spec):
+def test_pulses_are_the_resonant_products_bit_for_bit(source, spec):
     control, bulk, T, _ = _law_and_extremal_controls()[source]
-    f1, f2 = lift_controls(control, spec)
     ts = np.concatenate(([0.0], np.random.default_rng(2).uniform(0.0, T, 1000)))
-    f1s, f2s = lift_controls_bulk(bulk, spec)(ts)
+    f1s, f2s = lift_controls(bulk, spec)(ts)
     assert f1s.dtype == complex and f2s.dtype == complex
-    assert _complex_bits(f1s) == _complex_bits(f1(t) for t in ts.tolist())
-    assert _complex_bits(f2s) == _complex_bits(f2(t) for t in ts.tolist())
+    want = [_scalar_pulses(control, spec)(t) for t in ts.tolist()]
+    assert _complex_bits(f1s) == _complex_bits(f for f, _ in want)
+    assert _complex_bits(f2s) == _complex_bits(f for _, f in want)
 
 
 @pytest.mark.parametrize("source", ["law", "extremal"])
-def test_simulate_complex_with_bulk_pulses_is_bit_identical(source):
+def test_simulate_complex_steps_on_the_resonant_pulses_bit_for_bit(source):
+    # the reference steps per stage on scalar pulses, each calling the
+    # real control once
     control, bulk, T, switches = _law_and_extremal_controls()[source]
     spec = LevelSpec(-1.0, 0.3, 0.7, 0.3, -1.0)
-    f1, f2 = lift_controls(control, spec)
-    runs = [
-        simulate_complex(PSI0, f1, f2, spec, 0.8, T, 1e-3, switches, 7, bulk_control=b)
-        for b in (None, lift_controls_bulk(bulk, spec))
-    ]
-    assert runs[0].times.tolist() == runs[1].times.tolist()
-    for a, b in zip(runs[0].states, runs[1].states):
-        assert _complex_bits(a) == _complex_bits(b)
+    traj = simulate_complex(PSI0, control, bulk, spec, 0.8, T, 1e-3, switches, 7)
+    ref = propagate(
+        (1.0 + 0.0j, 0.0j, 0.0j), _scalar_pulses(control, spec),
+        _schrodinger_rhs(spec, 0.8), T, 1e-3, switches, 7,
+    )
+    assert traj.times.tolist() == [t for t, _ in ref]
+    for got, (_, want) in zip(traj.states, ref):
+        assert _complex_bits(got) == _complex_bits(want)
 
 
 @pytest.mark.parametrize("field", ["e1", "e2", "e3", "xi1", "xi2"])
