@@ -30,7 +30,6 @@ from .lift import (
 )
 from .min_energy import (
     EnergyExtremal,
-    ExtremalSample,
     Regime,
     classify,
     controls_at,
@@ -57,7 +56,6 @@ from .so3 import (
 from .time_optimal import (
     ControlLaw,
     Segment,
-    SwitchingState,
     delta_a,
     delta_b1,
     delta_b2,

@@ -76,7 +76,7 @@ def _first_v1_zero(alpha: float, m3: float) -> float:
     e = EnergyExtremal(alpha, m3)
 
     def v1(t):
-        return controls_at(e, t).v1
+        return controls_at(e, t)[0]
 
     hi = 0.05
     while v1(hi) > 0.0:
@@ -191,12 +191,10 @@ def criterion_06(fast: bool) -> list[Check]:
         ts = np.linspace(0.0, 5.0, n_grid)
         k2_ref = None
         for t in ts:
-            s = controls_at(e, float(t))
-            k1 = 0.5 * (s.v1 * s.v1 + s.v2 * s.v2 / (alpha * alpha))
+            v1, v2, m3 = controls_at(e, float(t))
+            k1 = 0.5 * (v1 * v1 + v2 * v2 / (alpha * alpha))
             devs_k1.append(abs(k1 - 0.5))
-            k2 = 0.5 * (
-                s.v1 * s.v1 - alpha * alpha * s.m3 * s.m3 / (1.0 - alpha * alpha)
-            )
+            k2 = 0.5 * (v1 * v1 - alpha * alpha * m3 * m3 / (1.0 - alpha * alpha))
             if k2_ref is None:
                 k2_ref = k2
             devs_k2.append(abs(k2 - k2_ref))
@@ -210,15 +208,12 @@ def criterion_06(fast: bool) -> list[Check]:
 def _adjoint_ode_residual(e: EnergyExtremal, t: float, h: float = tols.VERIFY_FD_STEP):
     """The three equations' residuals at t, as absolute values."""
     a = e.alpha
-    sp = controls_at(e, t + h)
-    sm = controls_at(e, t - h)
-    s0 = controls_at(e, t)
-    dv1 = (sp.v1 - sm.v1) / (2.0 * h)
-    dv2 = (sp.v2 - sm.v2) / (2.0 * h)
-    dm3 = (sp.m3 - sm.m3) / (2.0 * h)
-    r1 = dv1 + s0.m3 * s0.v2
-    r2 = dv2 - a * a * s0.m3 * s0.v1
-    r3 = dm3 + (1.0 - a * a) / (a * a) * s0.v1 * s0.v2
+    v1, v2, m3 = controls_at(e, t)
+    diff = np.subtract(controls_at(e, t + h), controls_at(e, t - h)) / (2.0 * h)
+    dv1, dv2, dm3 = diff.tolist()
+    r1 = dv1 + m3 * v2
+    r2 = dv2 - a * a * m3 * v1
+    r3 = dm3 + (1.0 - a * a) / (a * a) * v1 * v2
     return abs(r1), abs(r2), abs(r3)
 
 

@@ -41,7 +41,7 @@ from math import cos, cosh, exp, isfinite, sin, sqrt, tanh
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError
+from .errors import DomainError, require_reals
 
 _MAX_AGM_ITER = 24
 _DEGENERATE = tol.ELLIPTIC_DEGENERATE
@@ -181,15 +181,7 @@ def sncndn_bulk(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not (0.0 <= k <= 1.0):
         raise DomainError(f"Jacobi functions require 0 <= k <= 1, got {k!r}")
-    try:
-        u = np.asarray(u)
-    except ValueError:  # a ragged nesting
-        u = None
-    if u is None or u.ndim != 1 or u.dtype.kind not in "iuf":
-        raise DomainError("Jacobi function arguments must be a 1-d array of reals")
-    u = u.astype(float, copy=False)
-    if not np.isfinite(u).all():
-        raise DomainError("Jacobi function arguments must be finite")
+    u = require_reals("Jacobi function arguments", u)
     if k < _DEGENERATE:
         args = u.tolist()
         return _map(sin, args), _map(cos, args), np.ones(len(args))

@@ -3,6 +3,8 @@
 import math
 from numbers import Integral
 
+import numpy as np
+
 
 class QoctError(Exception):
     """Base class for all qoct errors."""
@@ -26,6 +28,23 @@ def require_count(name: str, value) -> None:
     """Raise DomainError unless value is a whole number (an Integral) >= 1."""
     if not (isinstance(value, Integral) and value >= 1):
         raise DomainError(f"{name} must be a whole number >= 1, got {value!r}")
+
+
+def require_reals(name: str, values) -> np.ndarray:
+    """``values`` as a 1-d float array, else DomainError.
+
+    Refuses a scalar, a 2-d or ragged nesting, a non-real dtype (str,
+    complex, bool, object) and NaN or inf."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.ndim != 1 or a.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a 1-d array of reals")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} must be finite")
+    return a
 
 
 class SingularLocusError(DomainError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, HorizonError, StepError, require, require_count
+from .errors import DomainError, HorizonError, StepError, require, require_count, require_reals
 from .so3 import StateS2
 from .tolerances import RENORM_LIMIT, STEP_COUNT_SLACK
 
@@ -236,9 +236,7 @@ def propagate(
     require("step h", h)
     require("final time T", T, closed=True)
     require_count("record_every", record_every)
-    switch_times = tuple(switch_times)
-    if not all(map(math.isfinite, switch_times)):
-        raise DomainError(f"switch times must be finite, got {switch_times!r}")
+    switch_times = require_reals("switch times", tuple(switch_times)).tolist()
     out = [(0.0, state)]
     cuts = sorted({0.0, T, *(s for s in switch_times if 0.0 < s < T)})
     for t0, t1 in zip(cuts[:-1], cuts[1:]):

@@ -130,26 +130,8 @@ class EnergyExtremal:
         return complete_k_comp(self.comodulus) / self.rate
 
 
-@dataclass(frozen=True)
-class ExtremalSample:
-    """Control and adjoint values of an energy extremal at one time."""
-
-    v1: float
-    v2: float
-    m3: float
-    alpha: float
-
-    @property
-    def u1(self) -> float:
-        return self.v1
-
-    @property
-    def u2(self) -> float:
-        return self.v2 / self.alpha
-
-
-def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
-    """Evaluate the closed-form extremal controls at a finite time t.
+def controls_at(e: EnergyExtremal, t: float) -> tuple[float, float, float]:
+    """The closed-form extremal (v1, v2, m3) at a finite time t.
 
     The zero and critical regimes take the sub-critical ``dn`` form at
     modulus 0 and 1, where ``sncndn`` and ``sncndn_bulk`` are exactly
@@ -161,10 +143,10 @@ def controls_at(e: EnergyExtremal, t: float) -> ExtremalSample:
     reg, k, rate = e.regime, e.modulus, e.rate
     sn, cn, dn = sncndn(rate * t, k)
     if reg is Regime.SUPER_CRITICAL:
-        return ExtremalSample(cn, a * sn, m * dn, a)
+        return cn, a * sn, m * dn
     if reg is Regime.ALPHA_ABOVE_ONE:
-        return ExtremalSample(cn / dn, a * e.comodulus * (sn / dn), m * (1.0 / dn), a)
-    return ExtremalSample(dn, a * k * sn, m * cn, a)
+        return cn / dn, a * e.comodulus * (sn / dn), m * (1.0 / dn)
+    return dn, a * k * sn, m * cn
 
 
 def _regime_control(e: EnergyExtremal, kernel):
@@ -252,8 +234,8 @@ def energy_cost(e: EnergyExtremal, T: float) -> float:
     a2 = e.alpha * e.alpha
 
     def integrand(t):
-        s = controls_at(e, t)
-        return s.v1 * s.v1 + s.v2 * s.v2 / a2
+        v1, v2, _ = controls_at(e, t)
+        return v1 * v1 + v2 * v2 / a2
 
     return quadrature(integrand, 0.0, T, tol.ENERGY_QUADRATURE)
 
@@ -320,7 +302,8 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8) -> float:
     bisection runs on the logarithm of the distance to it).
 
     Near convergence the trajectories are integrated with the RK4 step
-    ``SHOOT_STEP``; coarser brackets use a step of 6e-3.
+    ``SHOOT_STEP``; brackets wider than ``SHOOT_COARSE_WIDTH`` use the step
+    ``SHOOT_COARSE_STEP``.
 
     Args:
         alpha: nonisotropy factor.
@@ -332,7 +315,7 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8) -> float:
             more than ``SHOOT_MISS_LIMIT``.
     """
     require("tolerance", tol_m3)
-    h, coarse_h = tol.SHOOT_STEP, 6e-3
+    h, coarse_h = tol.SHOOT_STEP, tol.SHOOT_COARSE_STEP
     lo_bound, hi_bound = m3_bounds(alpha)
     floor = lo_bound
     eps = float(np.finfo(float).eps)
@@ -362,7 +345,7 @@ def solve_m3(alpha: float, tol_m3: float = 1e-8) -> float:
         if width(x_lo, x_hi) < 8.0 * eps * max(floor, math.exp(x_hi)):
             break  # float resolution of the bracket
         x_mid = 0.5 * (x_lo + x_hi)
-        hh = coarse_h if width(x_lo, x_hi) > 1e-5 else h
+        hh = coarse_h if width(x_lo, x_hi) > tol.SHOOT_COARSE_WIDTH else h
         face, _, _ = _exit_event(alpha, floor + math.exp(x_mid), hh)
         if face is ExitFace.TARGET:
             return floor + math.exp(x_mid)
@@ -455,8 +438,8 @@ def energy_sweep(alpha: float, n: int, samples: int) -> list[tuple[float, Trajec
     """
     require_count("energy_sweep count n", n)
     require_count("energy_sweep samples", samples)
-    h = 2e-3
-    m3_star = solve_m3(alpha, 1e-7)
+    h = tol.SWEEP_STEP
+    m3_star = solve_m3(alpha, tol.SWEEP_SOLVE)
     out = []
     for i in range(n):
         m3 = m3_star * math.exp(3.0 * (2.0 * ((i + 0.5) / n) - 1.0))

@@ -15,7 +15,15 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, require
+from .errors import DomainError, require, require_reals
+
+
+def _vector3(name: str, values) -> np.ndarray:
+    """``values`` as a float array of exactly three finite reals, else DomainError."""
+    a = require_reals(name, values)
+    if a.shape != (3,):
+        raise DomainError(f"{name} must be three reals, got shape {a.shape}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -33,14 +41,8 @@ class StateS2:
 
     @classmethod
     def from_array(cls, arr) -> "StateS2":
-        """The state of exactly three real components, else DomainError."""
-        try:
-            a = np.asarray(arr, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"a state needs three real components, got {arr!r}") from exc
-        if a.shape != (3,):
-            raise DomainError(f"a state needs three real components, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+        """The state of exactly three finite real components, else DomainError."""
+        return cls(*_vector3("state components", arr).tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.psi1, self.psi2, self.psi3])
@@ -77,6 +79,10 @@ class SkewGenerator:
     m1: float
     m2: float
     m3: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.m1) and math.isfinite(self.m2) and math.isfinite(self.m3)):
+            raise DomainError(f"generator entries must be finite, got {self!r}")
 
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -132,10 +138,7 @@ def generator(u1: float, u2: float, alpha: float) -> SkewGenerator:
         DomainError: unless alpha is finite and positive and both entries finite.
     """
     require("nonisotropy factor", alpha)
-    m1, m2 = float(u1), float(alpha) * float(u2)
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        raise DomainError(f"generator entries must be finite, got u1={m1!r}, alpha*u2={m2!r}")
-    return SkewGenerator(m1, m2, 0.0)
+    return SkewGenerator(float(u1), float(alpha) * float(u2), 0.0)
 
 
 def _exp_coeffs(rate: float, t: float) -> tuple[float, float]:
@@ -181,11 +184,13 @@ def arc_form(g: SkewGenerator, p: np.ndarray) -> tuple:
     that component is a0 + r*cos(w t - phi).
 
     Raises:
-        DomainError: when the rate is not positive (the circle is a point).
+        DomainError: when the rate is not positive (the circle is a point),
+            or when p is not a finite 3-vector.
     """
     w = g.rate
     if not w > 0.0:
         raise DomainError(f"the circle of an arc needs a positive rate, got {w!r}")
+    p = _vector3("arc start point", p)
     gp = g.apply(p)
     ggp = g.apply(gp) / (w * w)
     A, B, C = p + ggp, -ggp, gp / w
@@ -195,15 +200,12 @@ def arc_form(g: SkewGenerator, p: np.ndarray) -> tuple:
 def bracket(g1: SkewGenerator, g2: SkewGenerator) -> SkewGenerator:
     """Matrix commutator G1*G2 - G2*G1, returned as a skew generator.
 
-    Overflow and inf - inf in the products are left to the finiteness check
-    below rather than surfacing as numpy warnings.
+    Overflow and inf - inf in the products are left to ``SkewGenerator``'s
+    finiteness check rather than surfacing as numpy warnings.
 
     Raises:
         DomainError: when an entry of the commutator is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = g1._matrix @ g2._matrix - g2._matrix @ g1._matrix
-    m1, m2, m3 = float(c[1, 0]), float(c[2, 1]), float(c[2, 0])
-    if not (math.isfinite(m1) and math.isfinite(m2) and math.isfinite(m3)):
-        raise DomainError("commutator entries must be finite")
-    return SkewGenerator(m1, m2, m3)
+    return SkewGenerator(float(c[1, 0]), float(c[2, 1]), float(c[2, 0]))

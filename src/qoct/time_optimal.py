@@ -20,7 +20,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, NoSolutionError, SingularLocusError, require, require_count
+from .errors import (
+    DomainError,
+    NoSolutionError,
+    SingularLocusError,
+    require,
+    require_count,
+    require_reals,
+)
 from .integrator import Trajectory
 from .oracle import bisect_root
 from .so3 import SOURCE, TARGET, SkewGenerator, StateS2, arc_form, generator, rodrigues_exp
@@ -38,8 +45,7 @@ class Segment:
         bound = 1.0 + tol.CONTROL_BOUND_SLACK
         if not (abs(self.u1) <= bound and abs(self.u2) <= bound):  # NaN fails too
             raise DomainError("segment controls must lie in [-1, 1]")
-        if self.duration < 0.0 or not math.isfinite(self.duration):
-            raise DomainError("segment duration must be finite and >= 0")
+        require("segment duration", self.duration, closed=True)
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,7 @@ class ControlLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        if self.alpha <= 0.0 or not math.isfinite(self.alpha):
-            raise DomainError("nonisotropy factor must be positive and finite")
+        require("nonisotropy factor", self.alpha)
         out = []
         acc = 0.0
         for seg in self.segments[:-1]:
@@ -82,56 +87,16 @@ class ControlLaw:
         """Array twin of ``control``: (u1s, u2s) at the times of a 1-d array.
 
         ``np.searchsorted(..., side="right")`` is ``bisect_right``'s rule,
-        so each element equals ``control`` at that time.
+        so each element equals ``control`` at that time.  Anything but a
+        1-d array of finite reals raises DomainError.
         """
-        if not np.isfinite(ts).all():
-            raise DomainError("times must be finite")
+        ts = require_reals("times", ts)
         if not self.segments:
             return np.zeros(len(ts)), np.zeros(len(ts))
         idx = np.searchsorted(self._switches, ts, side="right")
         u1 = np.array([s.u1 for s in self.segments], dtype=float)
         u2 = np.array([s.u2 for s in self.segments], dtype=float)
         return u1[idx], u2[idx]
-
-
-@dataclass(frozen=True)
-class SwitchingState:
-    """Values of the two switching functions and the commutator pairing.
-
-    Along a double-bang arc (|u1| = |u2| = 1) the weighted quadratic form
-    below is a constant of motion of the switching dynamics.
-    """
-
-    phi1: float
-    phi2: float
-    phi3: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.phi1, self.phi2, self.phi3))):
-            raise DomainError(f"switching values must be finite, got {self!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi1, self.phi2, self.phi3])
-
-    @classmethod
-    def from_array(cls, arr) -> "SwitchingState":
-        """The values of exactly three real components, else DomainError."""
-        try:
-            a = np.asarray(arr, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"switching values need three real components, got {arr!r}") from exc
-        if a.shape != (3,):
-            raise DomainError(f"switching values need three real components, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def quadratic_invariant(self, alpha: float) -> float:
-        return alpha * alpha * self.phi1**2 + self.phi2**2 + self.phi3**2
-
-    def evolve(self, u1: float, u2: float, alpha: float, t: float) -> "SwitchingState":
-        """Propagate along a constant-control arc."""
-        return SwitchingState.from_array(
-            switching_propagator(u1, u2, alpha, t) @ self.as_array()
-        )
 
 
 def delta_a(psi: StateS2, alpha: float) -> float:
@@ -176,7 +141,9 @@ def switching_propagator(u1: float, u2: float, alpha: float, t: float) -> np.nda
 
     Maps (phi1, phi2, phi3)(0) to their values at time t under the linear
     system phi1' = -u2*phi3, phi2' = u1*phi3, phi3' = alpha^2*u2*phi1 - u1*phi2
-    with constant controls.
+    with constant controls: a switching state is a plain 3-array, advanced
+    by ``switching_propagator(u1, u2, alpha, t) @ phi``.  Along a double-bang
+    arc (|u1| = |u2| = 1) alpha^2*phi1^2 + phi2^2 + phi3^2 is conserved.
 
     Raises:
         DomainError: when alpha is not finite and positive, for the

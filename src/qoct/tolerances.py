@@ -83,6 +83,12 @@ ARC_EXIT_DIP = 1e-12
 # the fine stages of the m3(0) solve
 SHOOT_STEP = 1e-3
 
+# the coarse stages of the m3(0) solve, and the energy sweep
+SHOOT_COARSE_STEP = 6e-3  # RK4 step of the solve while its bracket is wide
+SHOOT_COARSE_WIDTH = 1e-5  # a bracket narrower than this in m3(0) steps SHOOT_STEP
+SWEEP_STEP = 2e-3  # RK4 step of the energy sweep's trajectories
+SWEEP_SOLVE = 1e-7  # tolerance of the solve that centres the sweep's m3(0) spread
+
 # energy shooting: a solve whose best RK4 transfer endpoint misses the target
 # by more than this raises instead of returning its best point
 SHOOT_MISS_LIMIT = 1e-3

@@ -189,6 +189,26 @@ def test_arc_form_refuses_a_generator_of_rate_zero():
             arc_form(generator(0.0, 0.0, 1.0), np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("entries", [(NAN, 0.0, 0.0), (0.0, INF, 0.0), (0.0, 0.0, -INF)])
+def test_skew_generator_refuses_non_finite_entries(entries):
+    # SkewGenerator(nan, 0, 0).apply([1, 0, 0]) used to return [nan, nan, 0]
+    with pytest.raises(DomainError):
+        SkewGenerator(*entries)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [[NAN, 0.0, 0.0], [0.0, INF, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]],
+     1.0, "abc", [1j, 0.0, 0.0]],
+)
+def test_arc_form_refuses_a_start_point_that_is_not_a_finite_3_vector(p):
+    # a NaN or inf point gave NaN/inf circles and a 2-vector a bare IndexError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            arc_form(generator(1.0, 1.0, 0.7), p)
+
+
 def _signed_decades(lo: int, hi: int):
     """Zero, or +-10**e with e uniform on [lo, hi]."""
     mag = st.floats(lo, hi).map(lambda e: 10.0**e)

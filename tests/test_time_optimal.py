@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from qoct import (
     ControlLaw,
     DomainError,
+    LevelSpec,
     NoSolutionError,
     SOURCE,
     Segment,
     SingularLocusError,
     StateS2,
-    SwitchingState,
     TARGET,
     delta_a,
     delta_b1,
     delta_b2,
     f1,
     f2,
+    lift_controls,
     min_time_law,
     propagate_law,
     switching_propagator,
@@ -111,19 +112,11 @@ def test_propagator_quadratic_form_conserved_on_double_bangs():
         u2 = float(rng.choice([-1.0, 1.0]))
         alpha = float(rng.uniform(0.2, 4.0))
         t = float(rng.uniform(0.0, 5.0))
-        phi0 = SwitchingState(*rng.uniform(-1, 1, size=3))
-        phi = phi0.evolve(u1, u2, alpha, t)
-        q0 = phi0.quadratic_invariant(alpha)
-        assert abs(phi.quadratic_invariant(alpha) - q0) < 1e-12 * max(1.0, q0)
-
-
-@pytest.mark.parametrize("phi", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf)])
-def test_switching_state_refuses_non_finite_components(phi):
-    # a NaN state used to evolve into an all-NaN one with a NaN invariant
-    with pytest.raises(DomainError):
-        SwitchingState(*phi)
-    with pytest.raises(DomainError):
-        SwitchingState.from_array(np.array(phi))
+        weights = np.array([alpha * alpha, 1.0, 1.0])
+        phi0 = rng.uniform(-1, 1, size=3)
+        phi = switching_propagator(u1, u2, alpha, t) @ phi0
+        q0 = weights @ phi0**2
+        assert abs(weights @ phi**2 - q0) < 1e-12 * max(1.0, q0)
 
 
 def test_double_bang_extremal_duration():
@@ -428,6 +421,26 @@ def test_control_rejects_a_non_finite_time(t):
 def test_bulk_control_of_an_empty_law_is_zero():
     u1s, u2s = ControlLaw((), 1.0).control_bulk(np.array([0.0, 0.5]))
     assert u1s.tolist() == [0.0, 0.0] and u2s.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [0.5, np.array(0.5), np.array([[0.1, 0.2]]), [[0.1], [0.2, 0.3]], np.array(["a"]),
+     np.array([0.1j]), np.array([True]), [0.1, None]],
+    ids=["float", "0-d", "2-d", "ragged", "str", "complex", "bool", "none"],
+)
+def test_bulk_control_refuses_anything_but_a_1d_array_of_real_times(ts):
+    # a float gave scalars, a 2-d array 2-d columns, strings a bare TypeError;
+    # the lift's pulse builder raised TypeError or AttributeError behind them
+    for law in (min_time_law(0.5), ControlLaw((), 0.5)):
+        with pytest.raises(DomainError):
+            law.control_bulk(ts)
+        with pytest.raises(DomainError):
+            lift_controls(law.control_bulk, LevelSpec(-1.0, 0.3, 0.7))(ts)
+    # integer times are real times
+    law = min_time_law(0.5)
+    u1s, u2s = law.control_bulk([0, 1, 3])
+    assert list(zip(u1s.tolist(), u2s.tolist())) == [law.control(t) for t in (0.0, 1.0, 3.0)]
 
 
 # exact octant check of synthesis candidates: the lowest component of a law,
@@ -798,11 +811,4 @@ def test_reach_screen_scans_a_target_just_beyond_the_tangent(alpha, screened):
     assert screened(fam, alpha, target)
     assert _reference_scan(fam, alpha, target)[0] == []
 
-
-@pytest.mark.parametrize(
-    "arr", [[1.0, 0.0, 0.0, 5.0], [1.0, 0.0], [[1.0, 0.0, 0.0]], [], 1.0, [[1.0, 0.0], [0.0]], "abc", [1j, 0, 0]]
-)
-def test_switching_state_from_array_takes_exactly_three_real_components(arr):
-    with pytest.raises(DomainError):
-        SwitchingState.from_array(arr)
 
