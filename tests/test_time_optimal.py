@@ -810,5 +810,3 @@ def test_reach_screen_scans_a_target_just_beyond_the_tangent(alpha, screened):
     assert gap > tol.SYNTHESIS_SCREEN_MARGIN
     assert screened(fam, alpha, target)
     assert _reference_scan(fam, alpha, target)[0] == []
-
-
