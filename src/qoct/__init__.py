@@ -39,6 +39,7 @@ from .min_energy import (
     extremal_control,
     extremal_control_bulk,
     m3_bounds,
+    shooting_root,
     solve_m3,
     transfer_endpoint,
     transfer_time,

@@ -31,6 +31,7 @@ from .min_energy import (
     extremal_control,
     extremal_control_bulk,
     m3_bounds,
+    shooting_root,
     solve_m3,
     transfer_endpoint,
     transfer_time,
@@ -158,19 +159,23 @@ def criterion_04(fast: bool) -> list[Check]:
 
 
 def criterion_05(fast: bool) -> list[Check]:
-    """Nonisotropic minimum energy: dichotomy, bounds, endpoint, first zero."""
+    """Nonisotropic minimum energy: dichotomy, bounds, endpoint, first zero,
+    and the dichotomy's distance from the closed-form shooting root."""
     alphas = (0.5, 2.0) if fast else (0.2, 0.5, 2.0, 5.0)
-    inside, misses, zeros = [], [], []
+    inside, misses, zeros, roots = [], [], [], []
     for alpha in alphas:
         m3 = solved_m3(alpha)
         lo, hi = m3_bounds(alpha)
         inside.append(lo < m3 < hi)
         misses.append(np.linalg.norm(transfer_endpoint(alpha, m3) - TARGET.as_array()))
         zeros.append(abs(transfer_time(alpha, m3) - _first_v1_zero(alpha, m3)))
+        root = shooting_root(alpha)[1]
+        roots.append(abs(m3 - root) / root)
     return [
         ("strictly inside bounds", all(inside), None),
         ("worst endpoint miss", misses, tols.VERIFY_ENERGY_ENDPOINT),
         ("transfer vs v1-zero", zeros, tols.VERIFY_FIRST_ZERO),
+        ("solve vs closed-form root", roots, tols.VERIFY_SOLVE_ROOT),
     ]
 
 

@@ -1,4 +1,5 @@
-"""Jacobi elliptic functions sn, cn, dn and the complete elliptic integral K.
+"""Jacobi elliptic functions sn, cn, dn, the complete elliptic integral K and
+Carlson's symmetric integrals R_F and R_J.
 
 Modulus convention
 ------------------
@@ -31,6 +32,10 @@ and ``sqrt`` of the scalar path, in its order (and the exact ``copysign``
 for its sign test).  numpy's own transcendental ufuncs are not used: they
 are not required to match ``math`` (``np.tanh`` and ``np.cosh`` differ from
 it on 20 % and 24 % of uniform arguments in [-20, 20], numpy 2.4 on x86-64).
+
+``carlson_rf`` and ``carlson_rj`` evaluate R_F and R_J by Carlson's
+duplication (DLMF 19.36.1; Carlson, Numer. Algorithms 10, 1995) on plain
+floats; the closed-form shooting root of ``min_energy`` is written in them.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from math import cos, cosh, exp, isfinite, sin, sqrt, tanh
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DomainError, require_reals
+from .errors import DomainError, require, require_reals
 
 _MAX_AGM_ITER = 24
 _DEGENERATE = tol.ELLIPTIC_DEGENERATE
@@ -115,6 +120,111 @@ def complete_k_comp(kp: float) -> float:
     if not (0.0 < kp <= 1.0):
         raise DomainError(f"complete_k_comp requires 0 < kp <= 1, got {kp!r}")
     return math.pi / (2.0 * _agm(kp)[1][-1])
+
+
+# Carlson's stopping rule: duplicate until 4^-m Q < |A_m|, where Q is the
+# spread of the arguments about their mean scaled by these factors; the
+# truncated series then errs by less than CARLSON_DUPLICATION, relative
+_RF_SCALE = (3.0 * tol.CARLSON_DUPLICATION) ** (-1.0 / 6.0)
+_RJ_SCALE = (0.25 * tol.CARLSON_DUPLICATION) ** (-1.0 / 6.0)
+
+
+def _carlson_args(name: str, x: float, y: float, z: float) -> None:
+    for v in (x, y, z):
+        require(f"{name} argument", v, closed=True)
+    if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
+        raise DomainError(f"{name} takes at most one zero among x, y, z, got {(x, y, z)!r}")
+
+
+def carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z) by duplication (DLMF 19.36.1).
+
+    R_F = 1/2 int_0^inf dt / sqrt((t + x)(t + y)(t + z)), for finite
+    x, y, z >= 0 of which at most one is zero; K(k) = R_F(0, k'^2, 1).
+    Pure Python floats, no numpy.
+    """
+    _carlson_args("R_F", x, y, z)
+    x0, y0 = x, y
+    a0 = a = (x + y + z) / 3.0
+    q = _RF_SCALE * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    f = 1.0  # 4^-m
+    while f * q >= a:
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        f *= 0.25
+    X = (a0 - x0) * f / a
+    Y = (a0 - y0) * f / a
+    Z = -X - Y
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(a)
+
+
+def _rc_one(e: float, sp: float, roots: tuple[float, float, float]) -> float:
+    """R_C(1, 1 + e) for e > -1 (DLMF §19.2(iv)): atan(sqrt e)/sqrt e above
+    zero, atanh(sqrt -e)/sqrt -e below.  The acos form of R_C loses digits
+    to cancellation as e -> 0.
+
+    Here e = prod (p - x)/(sqrt p + sqrt x)^2 over the three arguments x of
+    a duplication step, ``roots`` holds their square roots and sp = sqrt p.
+    Near e = -1 (p far below every other argument) 1 + e is taken from the
+    ratios m = min/max of sp and each root, as
+    2 (m1 + m2 + m3 + m1 m2 m3) / prod (1 + m), a sum of positive terms,
+    not by cancellation.
+    """
+    if e > 0.0:
+        s = sqrt(e)
+        return math.atan(s) / s
+    if e == 0.0:
+        return 1.0
+    s = sqrt(-e)
+    if e > -0.5:
+        return math.atanh(s) / s
+    m1, m2, m3 = (min(sp, r) / max(sp, r) for r in roots)
+    g = 2.0 * (m1 + m2 + m3 + m1 * m2 * m3) / ((1.0 + m1) * (1.0 + m2) * (1.0 + m3))
+    return (math.log1p(s) - 0.5 * math.log(g)) / s  # atanh(s), with 1 - s^2 = g
+
+
+def carlson_rj(x: float, y: float, z: float, p: float) -> float:
+    """Carlson's symmetric integral R_J(x, y, z, p) by duplication (DLMF 19.36.1).
+
+    R_J = 3/2 int_0^inf dt / ((t + p) sqrt((t + x)(t + y)(t + z))), for
+    finite x, y, z >= 0 of which at most one is zero, and finite p > 0.
+    Pure Python floats, no numpy.  Each step's R_C argument
+    e_m = 4^-3m (p - x)(p - y)(p - z) / d_m^2 is formed as the product of the
+    three ratios (p_m - x_m) / (sqrt p_m + sqrt x_m)^2, each at most one in
+    size, so it does not underflow where x, y and p are all tiny but their
+    ratios are not (p = k'^2 b^2 of the shooting root).
+    """
+    _carlson_args("R_J", x, y, z)
+    require("R_J argument p", p)
+    x0, y0, z0 = x, y, z
+    dx, dy, dz = p - x, p - y, p - z  # 4^m (p_m - x_m), fixed by duplication
+    a0 = a = (x + y + z + 2.0 * p) / 5.0
+    q = _RJ_SCALE * max(abs(a0 - x), abs(a0 - y), abs(a0 - z), abs(a0 - p))
+    f, total = 1.0, 0.0
+    while f * q >= a:
+        sx, sy, sz, sp = sqrt(x), sqrt(y), sqrt(z), sqrt(p)
+        lam = sx * sy + sx * sz + sy * sz
+        px, py, pz = sp + sx, sp + sy, sp + sz
+        e = (f * dx / (px * px)) * (f * dy / (py * py)) * (f * dz / (pz * pz))
+        total += f / (px * py * pz) * _rc_one(e, sp, (sx, sy, sz))
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        p, a = 0.25 * (p + lam), 0.25 * (a + lam)
+        f *= 0.25
+    X = (a0 - x0) * f / a
+    Y = (a0 - y0) * f / a
+    Z = (a0 - z0) * f / a
+    P = -0.5 * (X + Y + Z)
+    xyz, pp = X * Y * Z, P * P
+    e2 = X * Y + X * Z + Y * Z - 3.0 * pp
+    e3 = xyz + 2.0 * e2 * P + 4.0 * pp * P
+    e4 = (2.0 * xyz + e2 * P + 3.0 * pp * P) * P
+    e5 = xyz * pp
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return f * series / (a * sqrt(a)) + 6.0 * total
 
 
 def sncndn(u: float, k: float) -> tuple[float, float, float]:

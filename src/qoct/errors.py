@@ -14,14 +14,26 @@ class DomainError(QoctError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-def require(name: str, value: float, low: float = 0.0, closed: bool = False) -> None:
-    """Raise DomainError unless value is finite and above low (or equal, if closed).
+def require(
+    name: str, value: float, low: float = 0.0, closed: bool = False, high: float = math.inf
+) -> None:
+    """Raise DomainError unless value is a finite real above low (or equal, if
+    closed) and at most high.
 
-    Written as a positive test so NaN fails it, unlike ``value <= low``.
+    Written as a positive test so NaN fails it, unlike ``value <= low``.  A
+    value that is not a real number (a str, a complex, None) or an int too
+    large for a float fails it too, as DomainError, not as the TypeError or
+    OverflowError of ``math.isfinite``.  Pass ``low=-math.inf`` for any
+    finite real.
     """
-    if not (math.isfinite(value) and (value >= low if closed else value > low)):
-        bound = f"{'>=' if closed else '>'} {low:g}"
-        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
+    try:
+        ok = math.isfinite(value) and (value >= low if closed else value > low) and value <= high
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        lower = "" if low == -math.inf else f" and {'>=' if closed else '>'} {low:g}"
+        upper = "" if high == math.inf else f" and <= {high:g}"
+        raise DomainError(f"{name} must be finite{lower}{upper}, got {value!r}")
 
 
 def require_count(name: str, value) -> None:

@@ -32,10 +32,7 @@ class LevelSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise DomainError(
-                    f"level spec {f.name} must be finite, got {getattr(self, f.name)!r}"
-                )
+            require(f"level spec {f.name}", getattr(self, f.name), -math.inf)
 
 
 @dataclass(frozen=True)

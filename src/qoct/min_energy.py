@@ -1,11 +1,16 @@
-"""Minimum-energy synthesis: elliptic extremal controls and the dichotomy.
+"""Minimum-energy synthesis: elliptic extremal controls, the dichotomy and
+the closed-form shooting root.
 
 Energy-optimal extremals from the source are indexed by a single shooting
 parameter, the initial value m3(0) of the third adjoint component.  Their
 controls are Jacobi elliptic functions whose regime depends on where m3(0)
 sits relative to the critical value sqrt((1-alpha^2)/alpha^2).  The extremal
-reaching the target is found by a dichotomy: trajectories with too large an
-m3(0) leave the octant through the psi2 = 0 face, too small through psi1 = 0.
+reaching the target is found two ways.  ``solve_m3`` runs a dichotomy on RK4
+trajectories: too large an m3(0) leaves the octant through the psi2 = 0
+face, too small through psi1 = 0.  ``shooting_root`` solves the closed-form
+condition that the adjoint angle turns by pi up to the transfer time, one
+equation in Carlson's R_F and R_J; ``energy_sweep`` centres its spread on
+that root.
 
 Controls are expressed in the rescaled coordinates (v1, v2) = (u1, alpha*u2)
 in which the energy cost reads v1^2 + v2^2/alpha^2; arclength normalization
@@ -25,10 +30,10 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .elliptic import complete_k_comp, sncndn, sncndn_bulk
+from .elliptic import carlson_rf, carlson_rj, complete_k_comp, sncndn, sncndn_bulk
 from .errors import BracketError, DomainError, RegimeError, require, require_count
 from .integrator import ExitFace, Trajectory, first_exit, integrate
-from .oracle import quadrature
+from .oracle import bisect_root, quadrature
 from .so3 import SOURCE, TARGET
 
 
@@ -137,8 +142,7 @@ def controls_at(e: EnergyExtremal, t: float) -> tuple[float, float, float]:
     modulus 0 and 1, where ``sncndn`` and ``sncndn_bulk`` are exactly
     (sin, cos, 1) and (tanh, sech, sech).
     """
-    if not math.isfinite(t):
-        raise DomainError(f"time t must be finite, got {t!r}")
+    require("time t", t, -math.inf)
     a, m = e.alpha, e.m3_0
     reg, k, rate = e.regime, e.modulus, e.rate
     sn, cn, dn = sncndn(rate * t, k)
@@ -238,6 +242,73 @@ def energy_cost(e: EnergyExtremal, T: float) -> float:
         return v1 * v1 + v2 * v2 / a2
 
     return quadrature(integrand, 0.0, T, tol.ENERGY_QUADRATURE)
+
+
+def _moduli(s: float) -> tuple[float, float]:
+    """(k', k) with k'/k = e^s and k'^2 + k^2 = 1, each to full relative
+    accuracy: the smaller one is e^-|s| times the larger, 1/hypot(1, e^-|s|)."""
+    t = math.exp(-abs(s))
+    big = 1.0 / math.hypot(1.0, t)
+    return (big, t * big) if s > 0.0 else (t * big, big)
+
+
+def shooting_root(alpha: float) -> tuple[float, float, float]:
+    """(k', m3(0), T) of the target-reaching extremal, from the closed form.
+
+    The adjoint angle turns by pi up to the transfer time T.  With
+    b = min(alpha, 1/alpha) and w^2 = 1 - b^2,
+
+        theta(T) = b hypot(k/w, k') [R_F(0, k'^2, 1) + k'^2 w^2/3 R_J(0, k'^2, 1, k'^2 b^2)]
+
+    and T = R_F(0, k'^2, 1)/rate, rate = sqrt|1 - alpha^2|/k.  Above one this
+    is the formula derived in ``tests/data/make_references.py``.  Below one
+    that formula's third-kind integral has the characteristic
+    n = 1 - alpha^-2 < 0, and its R_F and R_J terms cancel (by a factor ~14
+    at alpha 0.2); the change of characteristic n -> (k^2 - n)/(1 - n)
+    (DLMF §19.7(iii), complete case) turns it into the sum of positive terms
+    above, which also shows k'(alpha) = k'(1/alpha).
+
+    theta(T) = pi is bisected by ``oracle.bisect_root`` in s = ln(k'/k),
+    which keeps both k (small as alpha -> 1) and k' (small at strong
+    nonisotropy) to full relative accuracy.  The upper end is the a
+    priori bound of ``m3_bounds`` plus ``SHOOT_ROOT_MARGIN``; the lower end
+    lies ``SHOOT_ROOT_SLOPE / b`` below it (ln k' of the root falls like
+    -pi/(2b)).  At alpha = 1 it returns (1, 1/sqrt(3), sqrt(3) pi/2), each
+    the double nearest its value.
+
+    For now two routines compute the same m3(0): this one and ``solve_m3``,
+    whose RK4 dichotomy differs from it by the dichotomy's error (A05 bounds
+    the distance).  The overlap ends when ``solve_m3`` returns this root's
+    m3(0) and keeps the RK4 only as the independent check.
+
+    Raises:
+        DomainError: alpha is not a finite positive real.
+        BracketError: theta(T) - pi does not change sign on the bracket, as
+            when the root's k'^2 would leave the normal float range (alpha
+            below about 0.0067 or above about 150).
+    """
+    require("nonisotropy factor", alpha)
+    if alpha == 1.0:  # sqrt(3)/3 is the double nearest 1/sqrt(3); 1/sqrt(3.0) is not
+        return 1.0, math.sqrt(3.0) / 3.0, math.sqrt(3.0) * math.pi / 2.0
+    b = min(alpha, 1.0 / alpha)
+    w = math.sqrt((1.0 - b) * (1.0 + b))
+
+    def excess(s: float) -> float:  # theta(T) - pi
+        kp, k = _moduli(s)
+        kp2 = kp * kp
+        third = kp2 * w * w / 3.0 * carlson_rj(0.0, kp2, 1.0, kp2 * b * b)
+        return b * math.hypot(k / w, kp) * (carlson_rf(0.0, kp2, 1.0) + third) - math.pi
+
+    s_hi = tol.SHOOT_ROOT_MARGIN - math.log(math.sqrt(3.0) * w)
+    s_lo = s_hi - tol.SHOOT_ROOT_SLOPE / b
+    if s_lo < tol.SHOOT_ROOT_FLOOR:
+        raise BracketError(f"the shooting root for alpha={alpha} lies below the float range of k'")
+    if not excess(s_lo) > 0.0 > excess(s_hi):
+        raise BracketError(f"theta(T) - pi does not change sign on the bracket for alpha={alpha}")
+    kp, k = _moduli(bisect_root(excess, s_lo, s_hi, tol.SHOOT_ROOT_WIDTH))
+    rate = w * max(alpha, 1.0) / k
+    m3 = rate / alpha if alpha < 1.0 else kp * rate / alpha
+    return kp, m3, carlson_rf(0.0, kp * kp, 1.0) / rate
 
 
 def _horizon(e: EnergyExtremal) -> float:
@@ -430,8 +501,9 @@ def energy_sweep(alpha: float, n: int, samples: int) -> list[tuple[float, Trajec
     """Extremals from the source over a spread of m3(0), run to octant exit.
 
     The n shooting parameters are spread log-uniformly over a factor e^3 on
-    either side of the solved one; each trajectory is integrated to its first
-    boundary crossing and holds about ``samples`` samples.
+    either side of the target-reaching one, the closed-form root of
+    ``shooting_root``; each trajectory is integrated to its first boundary
+    crossing and holds about ``samples`` samples.
 
     Returns:
         (m3(0), trajectory) pairs in increasing m3(0).
@@ -439,7 +511,7 @@ def energy_sweep(alpha: float, n: int, samples: int) -> list[tuple[float, Trajec
     require_count("energy_sweep count n", n)
     require_count("energy_sweep samples", samples)
     h = tol.SWEEP_STEP
-    m3_star = solve_m3(alpha, tol.SWEEP_SOLVE)
+    m3_star = shooting_root(alpha)[1]
     out = []
     for i in range(n):
         m3 = m3_star * math.exp(3.0 * (2.0 * ((i + 0.5) / n) - 1.0))

@@ -35,6 +35,8 @@ class StateS2:
     psi3: float
 
     def __post_init__(self):
+        for v in (self.psi1, self.psi2, self.psi3):
+            require("state component", v, -math.inf)
         sq = self.psi1 * self.psi1 + self.psi2 * self.psi2 + self.psi3 * self.psi3
         if not math.isfinite(sq) or abs(sq - 1.0) > tol.STRUCTURAL:
             raise DomainError(f"state is not on the unit sphere: |psi|^2 = {sq!r}")
@@ -81,8 +83,8 @@ class SkewGenerator:
     m3: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m1) and math.isfinite(self.m2) and math.isfinite(self.m3)):
-            raise DomainError(f"generator entries must be finite, got {self!r}")
+        for v in (self.m1, self.m2, self.m3):
+            require("generator entry", v, -math.inf)
 
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -138,6 +140,8 @@ def generator(u1: float, u2: float, alpha: float) -> SkewGenerator:
         DomainError: unless alpha is finite and positive and both entries finite.
     """
     require("nonisotropy factor", alpha)
+    require("control u1", u1, -math.inf)
+    require("control u2", u2, -math.inf)
     return SkewGenerator(float(u1), float(alpha) * float(u2), 0.0)
 
 

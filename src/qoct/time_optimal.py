@@ -43,8 +43,8 @@ class Segment:
 
     def __post_init__(self):
         bound = 1.0 + tol.CONTROL_BOUND_SLACK
-        if not (abs(self.u1) <= bound and abs(self.u2) <= bound):  # NaN fails too
-            raise DomainError("segment controls must lie in [-1, 1]")
+        require("segment control u1", self.u1, -bound, closed=True, high=bound)
+        require("segment control u2", self.u2, -bound, closed=True, high=bound)
         require("segment duration", self.duration, closed=True)
 
 

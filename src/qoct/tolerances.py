@@ -14,6 +14,10 @@ ROTATION_SERIES_ANGLE = 1e-6
 # stop the arithmetic-geometric mean when the gap drops below this
 AGM_GAP = 1e-15
 
+# relative error of the truncated series that ends Carlson's duplication for
+# R_F and R_J (the r of Carlson 1995); it sets how many duplications run
+CARLSON_DUPLICATION = 1e-16
+
 # moduli closer than this to 0 are routed to the trigonometric closed forms
 ELLIPTIC_DEGENERATE = 1e-10
 
@@ -87,7 +91,17 @@ SHOOT_STEP = 1e-3
 SHOOT_COARSE_STEP = 6e-3  # RK4 step of the solve while its bracket is wide
 SHOOT_COARSE_WIDTH = 1e-5  # a bracket narrower than this in m3(0) steps SHOOT_STEP
 SWEEP_STEP = 2e-3  # RK4 step of the energy sweep's trajectories
-SWEEP_SOLVE = 1e-7  # tolerance of the solve that centres the sweep's m3(0) spread
+
+# the closed-form shooting root: bisection of theta(T) = pi in s = ln(k'/k)
+# down to this width (below one ulp of k and k' relative; wide ends stop at
+# adjacent floats first), between an upper end SHOOT_ROOT_MARGIN above the a
+# priori bound of m3(0) and a lower end SHOOT_ROOT_SLOPE * max(alpha, 1/alpha)
+# below it (the root's ln k' falls like -pi/2 max(alpha, 1/alpha)); a lower
+# end below SHOOT_ROOT_FLOOR would put k'^2 near the float underflow
+SHOOT_ROOT_WIDTH = 1e-17
+SHOOT_ROOT_MARGIN = 1.0
+SHOOT_ROOT_SLOPE = 2.0
+SHOOT_ROOT_FLOOR = -300.0
 
 # energy shooting: a solve whose best RK4 transfer endpoint misses the target
 # by more than this raises instead of returning its best point
@@ -142,6 +156,9 @@ VERIFY_ISOTROPIC_M3 = 1e-8  # A04: m3(0) against 1/sqrt(3)
 VERIFY_ISOTROPIC_TRANSFER = 1e-10  # A04: transfer time against sqrt(3)*pi/2
 VERIFY_ENERGY_ENDPOINT = 1e-6  # A05: RK4 transfer endpoint miss
 VERIFY_FIRST_ZERO = 1e-7  # A05: transfer time against the first v1 zero
+# A05: relative distance of the solved m3(0) from shooting_root's; measured
+# 4.5e-14 (alpha 0.2), 1.5e-9 (0.5), 1.5e-8 (2) and 4.8e-8 (5)
+VERIFY_SOLVE_ROOT = 1e-7
 VERIFY_FIRST_INTEGRAL = 1e-10  # A06: arclength integral K1
 VERIFY_SECOND_INTEGRAL = 1e-9  # A06: second integral K2
 VERIFY_ODE_RESIDUAL = 1e-6  # A07: finite-difference residuals

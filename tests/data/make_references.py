@@ -37,6 +37,13 @@ of the skew generator G with (2,1)-entry u1 and (3,2)-entry alpha*u2,
 w = sqrt(u1^2 + alpha^2 u2^2), and the inputs (alpha, target, durations) are
 the recorded doubles, taken exactly.
 
+It also writes ``carlson_references.json``: R_F(x, y, z) and
+R_J(x, y, z, p) at 20 digits for seeded doubles (taken exactly), the
+checks of ``qoct.elliptic.carlson_rf`` and ``carlson_rj``.  Half the
+points are the shooting problem's, x = 0, y = k'^2, z = 1, with k' from
+1e-150 to 1 and p either k'^2 b^2 (b from 1e-2 to 1) or from 1e-3 to 1e3;
+the rest have x, y, z, p from 1e-8 to 1e8, x = 0 in a third of them.
+
 Run from the repository root, at any commit (takes about ten seconds):
 
     python tests/data/make_references.py
@@ -44,12 +51,17 @@ Run from the repository root, at any commit (takes about ten seconds):
 
 import json
 import pathlib
+import random
 
 import mpmath as mp
 
 DATA = pathlib.Path(__file__).parent
 OUT = DATA / "energy_references.json"
 SYNTHESIS_OUT = DATA / "synthesis_references.json"
+CARLSON_OUT = DATA / "carlson_references.json"
+CARLSON_DIGITS = 20
+CARLSON_POINTS = 400
+CARLSON_SEED = 19
 DIGITS = 30
 SYNTHESIS_DIGITS = 40
 WORK_DIGITS = 45
@@ -145,8 +157,43 @@ def synthesis_references():
     )
 
 
+def carlson_points(rng):
+    """Seeded (x, y, z, p) doubles: the shooting problem's, then general ones."""
+    decade = lambda lo, hi: 10.0 ** rng.uniform(lo, hi)  # noqa: E731
+    for i in range(CARLSON_POINTS):
+        if i < CARLSON_POINTS // 2:
+            kp2 = decade(-150, 0) ** 2
+            p = kp2 * decade(-2, 0) ** 2 if i % 2 else decade(-3, 3)
+            yield 0.0, kp2, 1.0, p
+        else:
+            x = 0.0 if i % 3 == 0 else decade(-8, 8)
+            yield x, decade(-8, 8), decade(-8, 8), decade(-8, 8)
+
+
+def carlson_references():
+    """Write R_F and R_J at the seeded points, the inputs as float hex."""
+    mp.mp.dps = WORK_DIGITS
+    records = []
+    for x, y, z, p in carlson_points(random.Random(CARLSON_SEED)):
+        rf = mp.elliprf(x, y, z)
+        rj = mp.elliprj(x, y, z, p)
+        records.append({
+            "args": [v.hex() for v in (x, y, z, p)],
+            "rf": mp.nstr(rf, CARLSON_DIGITS),
+            "rj": mp.nstr(rj, CARLSON_DIGITS),
+        })
+    body = ",\n".join(json.dumps(r) for r in records)
+    CARLSON_OUT.write_text(
+        "{\n"
+        f'"digits": {CARLSON_DIGITS},\n'
+        '"method": "mpmath elliprf(x, y, z) and elliprj(x, y, z, p) at the float-hex args",\n'
+        f'"points": [\n{body}\n]\n}}\n'
+    )
+
+
 def main():
     synthesis_references()
+    carlson_references()
     mp.mp.dps = WORK_DIGITS
     cases = []
     for text in FACTORS:

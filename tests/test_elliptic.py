@@ -1,6 +1,9 @@
 """Jacobi functions and K(k) against quadrature and identity oracles."""
 
+import json
 import math
+import pathlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from qoct import DomainError, complete_k, sncndn
 from qoct import elliptic
 from qoct import tolerances as tol
-from qoct.elliptic import _agm, complete_k_comp
+from qoct.elliptic import _agm, carlson_rf, carlson_rj, complete_k_comp
 from qoct.min_energy import EnergyExtremal, controls_at
 from qoct.oracle import bisect_root, quadrature
 
@@ -287,3 +290,54 @@ def test_hyperbolic_forms_stay_finite_where_cosh_overflows(k):
     # a critical extremal (modulus 1) read far out
     e = EnergyExtremal(0.5, math.sqrt(0.75) / 0.5)
     assert e.modulus == 1.0 and math.isfinite(controls_at(e, 1000.0)[1])
+
+
+# R_F and R_J at seeded points, 20 digits, written by tests/data/make_references.py
+CARLSON_POINTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "carlson_references.json").read_text()
+)["points"]
+# relative distance allowed from the references; measured worst over the
+# 400 points: 5.0e-16 (R_F) and 6.7e-16 (R_J)
+CARLSON_DISTANCE = Decimal("1e-15")
+
+
+def test_carlson_kernels_match_their_mpmath_references():
+    worst = Decimal(0)
+    for point in CARLSON_POINTS:
+        args = [float.fromhex(h) for h in point["args"]]
+        for got, ref in ((carlson_rf(*args[:3]), point["rf"]), (carlson_rj(*args), point["rj"])):
+            ref = Decimal(ref)
+            worst = max(worst, abs(Decimal(got) - ref) / ref)
+    assert worst <= CARLSON_DISTANCE
+
+
+@pytest.mark.parametrize("kp", [1.0, 0.5, 1e-3, 1e-60])
+def test_carlson_rf_is_the_agm_quarter_period(kp):
+    # K(k) = R_F(0, k'^2, 1) by duplication and by the AGM
+    assert carlson_rf(0.0, kp * kp, 1.0) == pytest.approx(complete_k_comp(kp), rel=1e-15)
+
+
+@pytest.mark.parametrize("e", [1e-6, 0.5, 3.0, 1e6])
+def test_carlson_rj_with_equal_arguments_is_elementary(e):
+    # R_J(1, 1, 1, 1 + e) = 3 (1 - R_C(1, 1 + e))/e, R_C(1, 1 + e) = atan(sqrt e)/sqrt e
+    want = 3.0 * (1.0 - math.atan(math.sqrt(e)) / math.sqrt(e)) / e
+    rel = 1e-15 / e if e < 1.0 else 1e-15  # the reference itself cancels as e -> 0
+    assert carlson_rj(1.0, 1.0, 1.0, 1.0 + e) == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 0.0, 1.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+     ("a", 1.0, 1.0)],
+)
+def test_carlson_kernels_refuse_arguments_outside_their_domain(args):
+    with pytest.raises(DomainError):
+        carlson_rf(*args)
+    with pytest.raises(DomainError):
+        carlson_rj(*args, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_carlson_rj_refuses_a_non_positive_p(p):
+    with pytest.raises(DomainError):
+        carlson_rj(0.0, 0.5, 1.0, p)

@@ -19,6 +19,16 @@ at alpha 0.5, 0.8 and 1.25 that the figure export writes, recorded by
 in one call and the Jacobi kernel kept its last value.  They must match
 byte for byte.
 
+The energy sweeps among these nets (``export_sweeps/sweep_energy_*`` and
+``sweep_energy_alpha2.csv``, the latter by the command its test runs) were
+re-recorded when the sweep's centre m3(0) moved from an RK4 dichotomy to
+``1e-7`` to the closed-form root of ``shooting_root``.  The centre moved
+toward the 45-digit root of ``make_references.py`` (relative distance
+1.5e-9 -> 2.2e-17 at alpha 0.5, 1.7e-8 -> 5.8e-17 at 0.8, 4.9e-8 ->
+4.2e-16 at 1.25, 3.5e-7 -> 2.8e-15 at 2), so every data line moved, by at
+most 3.5e-7 relative in ``param`` and 1.6e-7 in the states, with the same
+row counts and regimes.
+
 ``lift_goldens/`` holds ``lift --trajectory-out`` population CSVs in time mode
 at alpha 0.5, 0.8, 1.25 and 1.9 and in energy mode at 0.8, with their final
 populations, recorded by ``make_lift_goldens.py`` before the RK4 read its

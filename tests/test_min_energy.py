@@ -7,6 +7,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoct import (
     BracketError,
@@ -23,6 +25,7 @@ from qoct import (
     extremal_control,
     integrate,
     m3_bounds,
+    shooting_root,
     solve_m3,
     transfer_endpoint,
     transfer_time,
@@ -167,6 +170,73 @@ def test_solved_m3_and_transfer_time_stay_near_the_references(case):
     assert abs(Decimal(kp) - ref_kp) <= Decimal(kp_bound) * ref_kp
 
 
+# shooting_root's k', m3(0) and T may lie at most this far from the
+# references, relative; measured worst 2.9e-15 (k' and m3(0) at alpha 2)
+ROOT_DISTANCE = Decimal("4e-15")
+
+
+@pytest.mark.parametrize("case", REFERENCES, ids=lambda c: c["alpha"])
+def test_shooting_root_meets_the_references(case):
+    kp, m3, time = shooting_root(float(case["alpha"]))
+    for got, key in ((kp, "comodulus"), (m3, "m3_0"), (time, "transfer_time")):
+        ref = Decimal(case[key])
+        assert abs(Decimal(got) - ref) <= ROOT_DISTANCE * ref, key
+
+
+# the README's measured solve range of alpha
+SOLVE_RANGE = (0.103, 10.08)
+# inversion symmetry of the closed-form root, relative; measured worst over
+# 4000 log-uniform draws on SOLVE_RANGE: 1.6e-14 in k' (at alpha 0.109; the
+# rounding of 1/alpha alone moves ln k' by about pi/(2 alpha) ulps there)
+# and 1.2e-15 in T
+ROOT_INVERSION_KP = 3e-14
+ROOT_INVERSION_TIME = 3e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(math.log(SOLVE_RANGE[0]), math.log(SOLVE_RANGE[1])).map(math.exp))
+def test_shooting_root_is_inversion_symmetric(alpha):
+    # k'(alpha) = k'(1/alpha) and T(1/alpha) = alpha T(alpha)
+    kp, _, time = shooting_root(alpha)
+    kp_inv, _, time_inv = shooting_root(1.0 / alpha)
+    assert abs(kp_inv - kp) <= ROOT_INVERSION_KP * kp
+    assert abs(time_inv - alpha * time) <= ROOT_INVERSION_TIME * time_inv
+
+
+def test_shooting_root_is_the_isotropic_extremal_at_one():
+    # the doubles nearest 1/sqrt(3) and sqrt(3) pi/2
+    assert shooting_root(1.0) == (1.0, 0.5773502691896257, 2.7206990463513265)
+
+
+@pytest.mark.parametrize("offset", [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
+def test_shooting_root_approaches_the_isotropic_extremal(offset):
+    # m3(0) = 1/sqrt(3) - (2/sqrt(3)) (alpha - 1) + O((alpha - 1)^2), and the
+    # RK4 check still reaches the target
+    alpha = 1.0 + offset
+    _, m3, _ = shooting_root(alpha)
+    assert abs(m3 - 1.0 / math.sqrt(3.0)) <= 1.2 * abs(offset)
+    assert np.linalg.norm(transfer_endpoint(alpha, m3) - E3) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.006, 160.0, 1e-300, 1e300])
+def test_shooting_root_raises_where_k_prime_leaves_the_float_range(alpha):
+    with pytest.raises(BracketError):
+        shooting_root(alpha)
+
+
+def test_shooting_root_raises_when_the_bracket_does_not_straddle(monkeypatch):
+    # an upper end below the root: theta(T) > pi at both ends
+    monkeypatch.setattr(min_energy.tol, "SHOOT_ROOT_MARGIN", -3.0)
+    with pytest.raises(BracketError, match="does not change sign"):
+        shooting_root(0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -2.0])
+def test_shooting_root_rejects_a_bad_factor(alpha):
+    with pytest.raises(DomainError):
+        shooting_root(alpha)
+
+
 def test_comodulus_is_the_same_at_reciprocal_factors():
     # k'(alpha) = k'(1/alpha) for the target-reaching extremal; 0.5 and 2 are
     # exact reciprocals as doubles (0.2 and 5 are not), so the references
@@ -292,11 +362,12 @@ def test_energy_sweep_runs_each_extremal_to_the_boundary():
 
 @pytest.mark.parametrize("n, samples", [(2.5, 10), (3, 0.5), (3, 2.5), (None, 10)])
 def test_energy_sweep_rejects_fractional_counts_before_solving(n, samples, monkeypatch):
-    # n = 2.5 used to escape as range()'s TypeError, after a full solve
+    # n = 2.5 used to escape as range()'s TypeError, after a full solve; the
+    # sweep's centre is the closed-form root
     def no_solve(*args):
         raise AssertionError("solved before checking the counts")
 
-    monkeypatch.setattr(min_energy, "solve_m3", no_solve)
+    monkeypatch.setattr(min_energy, "shooting_root", no_solve)
     with pytest.raises(DomainError):
         energy_sweep(0.5, n, samples)
 

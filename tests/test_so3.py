@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 
 from qoct import (
     DomainError,
+    EnergyExtremal,
+    LevelSpec,
     Segment,
     SkewGenerator,
     StateS2,
     bracket,
+    controls_at,
     generator,
+    min_time_law,
     rodrigues_exp,
+    shooting_root,
     switching_propagator,
 )
 from qoct.so3 import _exp_coeffs, arc_form
@@ -169,6 +174,26 @@ def test_non_finite_input_raises_domain_error(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             NON_FINITE_CALLS[call]()
+
+
+NON_NUMERIC_CALLS = {
+    "SkewGenerator": lambda: SkewGenerator("a", 0.0, 0.0),
+    "Segment": lambda: Segment("a", 0.0, 1.0),
+    "LevelSpec": lambda: LevelSpec("a", 0.0, 1.0),
+    "StateS2": lambda: StateS2("a", 0.0, 0.0),
+    "controls_at": lambda: controls_at(EnergyExtremal(0.5, 0.9), "x"),
+    "min_time_law": lambda: min_time_law("a"),
+    "generator": lambda: generator("a", 1.0, 1.0),
+    "shooting_root": lambda: shooting_root("a"),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_NUMERIC_CALLS))
+def test_non_numeric_input_raises_domain_error(call):
+    # errors.require refuses a value that is no real number; these used to
+    # raise a bare TypeError, or ValueError from float("a")
+    with pytest.raises(DomainError):
+        NON_NUMERIC_CALLS[call]()
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.0, -2.0])
